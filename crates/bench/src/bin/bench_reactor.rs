@@ -7,13 +7,14 @@
 //!   where syscall cost, not network latency, is the binding constraint.
 //! * **Codec** — owned `Message::decode` versus the borrowed
 //!   `MessageView` sweep on a referral corpus.
-//! * **Scan pipeline** — the shared-queue credit pool versus the static
-//!   per-worker split, through the full `run_scan_pipeline`
-//!   orchestration: once on a uniform all-healthy fleet (the
-//!   no-regression case), once with most destinations serving backoff
-//!   penalties (where parking + stealing should win big), and once with
-//!   a durable checkpoint attached (manifest + rolling snapshots — what
-//!   `--checkpoint` costs the hot path).
+//! * **Scan pipeline** — the full `run_scan_pipeline` orchestration
+//!   (scan-wide credit pool + scan-wide pacer): once on a uniform
+//!   all-healthy fleet, once with 3 of every 4 lookups aimed at
+//!   blackholes serving backoff penalties — timing the healthy probes
+//!   in that mix against the same probes run alone, which is what
+//!   parking + stealing protect — and once with a durable checkpoint
+//!   attached (manifest + rolling snapshots — what `--checkpoint` costs
+//!   the hot path).
 //! * **I/O backends** — the io_uring ring (`--io-backend uring`) versus
 //!   the mmsg arena on the same 1000-in-flight loopback workload,
 //!   recording ring submission counters (SQEs/enter, enters/lookup, CQE
@@ -33,30 +34,28 @@
 //!   cache on (memcpy + ID/flags patch + cookie splice). Measured
 //!   in-process because the loopback e2e round trip is client-dominated;
 //!   an e2e hot-key fleet pair is recorded alongside as informational.
-//! * **Paced scaling** — paced pipeline throughput at 1, 2, and 4
-//!   workers, lock-free `ConcurrentPacer` (the default) versus the
-//!   mutex-guarded `--pacer legacy-shared`, on a never-deferring global
-//!   budget where every send pays the pacer's admission cost. The
-//!   4-worker pair is where the legacy mutex serializes the send hot
-//!   path and block leasing should pull ahead.
+//! * **Paced scaling** — pipeline throughput at 1, 2, and 4 workers
+//!   with a never-deferring global budget (every send pays the
+//!   scan-wide pacer's admission cost) versus the same pipeline
+//!   unpaced: what pacing costs the send hot path as workers share it.
 //!
 //! Gates (exit non-zero below the bar): `--min-speedup X` on the batched
 //! ratio, `--min-view-speedup X` on the codec ratio,
-//! `--min-uniform-ratio X` on shared/static for the uniform pipeline
-//! case, `--min-uring-ratio X` on uring/mmsg (auto-pass when the
+//! `--min-backoff-ratio X` on the healthy probes' completion rate in the
+//! partial-backoff mix over the same probes alone (best per-pair over
+//! alternating rounds), `--min-uring-ratio X` on uring/mmsg (auto-pass when the
 //! kernel has no io_uring — the fallback path is the product behaviour
 //! there, not a regression), `--min-serve-ratio X` on serve/scan
 //! throughput, `--min-checkpoint-ratio X` on the checkpointed
 //! pipeline's throughput relative to the plain pipeline,
-//! `--min-paced-ratio X` on the 4-worker concurrent-over-legacy pacer
-//! ratio (auto-pass on single-core machines, where cross-worker mutex
-//! contention — the thing the concurrent pacer removes — cannot occur),
-//! and `--min-packet-ratio X` on the packet-hit-over-record-hit direct
+//! `--min-paced-ratio X` on the 4-worker paced-over-unpaced pipeline
+//! ratio (best per-pair over alternating rounds), and
+//! `--min-packet-ratio X` on the packet-hit-over-record-hit direct
 //! serve ratio (best per-pair over alternating rounds).
 //!
 //! Run: `cargo run --release -p zdns-bench --bin bench_reactor -- [--quick]
 //! [--out PATH] [--min-speedup X] [--min-view-speedup X]
-//! [--min-uniform-ratio X] [--min-uring-ratio X] [--min-serve-ratio X]
+//! [--min-backoff-ratio X] [--min-uring-ratio X] [--min-serve-ratio X]
 //! [--min-checkpoint-ratio X] [--min-paced-ratio X] [--min-packet-ratio X]`
 
 use std::net::Ipv4Addr;
@@ -295,19 +294,16 @@ fn arg_value(name: &str) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Scan-pipeline A/B: shared credit pool vs static split
+// Scan pipeline: uniform, partial backoff, checkpointed, paced scaling
 // ---------------------------------------------------------------------------
 
 /// One `run_scan_pipeline` pass over the PROBE workload described by
-/// `inputs`, in shared or static admission mode, with `threads` workers
-/// and either pacer flavour (`legacy_pacer` selects the mutex-guarded
-/// `--pacer legacy-shared`). Returns lookups/sec and the merged driver
-/// report.
+/// `inputs`, with `threads` workers. Returns lookups/sec, the merged
+/// driver report, and when the last output for an `ok*` input (a
+/// healthy probe) reached the sink, relative to the scan's start.
 #[allow(clippy::too_many_arguments)]
 fn run_pipeline_case(
-    static_split: bool,
     threads: usize,
-    legacy_pacer: bool,
     window: usize,
     timeout_ms: u64,
     backoff_secs: Option<&str>,
@@ -315,7 +311,8 @@ fn run_pipeline_case(
     checkpoint: Option<&std::path::Path>,
     addr_map: &Arc<AddrMap>,
     inputs: &[String],
-) -> (f64, DriverReport) {
+) -> (f64, DriverReport, std::time::Duration) {
+    use std::sync::Mutex;
     use zdns_framework::{run_scan_pipeline, CallbackSink, Conf};
     let mut args = vec![
         "PROBE".to_string(),
@@ -332,12 +329,6 @@ fn run_pipeline_case(
     }
     if rate_pps > 0.0 {
         args.extend(["--rate-pps".into(), format!("{rate_pps}")]);
-    }
-    if static_split {
-        args.push("--static-split".into());
-    }
-    if legacy_pacer {
-        args.extend(["--pacer".into(), "legacy-shared".into()]);
     }
     if let Some(manifest) = checkpoint {
         // A durable pipeline: the keeper tracks every dispatch and
@@ -366,8 +357,14 @@ fn run_pipeline_case(
         .get("PROBE")
         .unwrap();
     let mut source = inputs.iter().cloned();
-    let mut sink = CallbackSink::new(|_| {});
     let started = Instant::now();
+    let last_ok = Arc::new(Mutex::new(std::time::Duration::ZERO));
+    let record = Arc::clone(&last_ok);
+    let mut sink = CallbackSink::new(move |output| {
+        if output.name.starts_with("ok") {
+            *record.lock().unwrap() = started.elapsed();
+        }
+    });
     let report = run_scan_pipeline(
         &conf,
         &resolver,
@@ -383,24 +380,39 @@ fn run_pipeline_case(
         "pipeline must complete every input: {:?}",
         report.worker_errors
     );
-    (rate, report.driver)
+    let last_ok = *last_ok.lock().unwrap();
+    (rate, report.driver, last_ok)
 }
 
-/// Measure shared-queue vs static-split through the full pipeline:
-/// `(uniform_shared, uniform_static, paced_shared, paced_static,
-/// backoff_shared, backoff_static)` lookups/sec. The uniform case is
-/// all-healthy with no pacing (credit-pool cost only); the paced case
-/// adds a never-throttling global budget so every send pays the shared
-/// pacer's mutex — the other half of the leasing design; the backoff
-/// case sends 3 of every 4 lookups at blackholed destinations serving a
-/// constant penalty, where parking + stealing recovers the stranded
-/// window. The seventh figure re-runs the uniform shared case with a
-/// durable checkpoint attached (keeper bookkeeping on every dispatch
-/// and completion, a snapshot every 1000), measuring what durability
-/// costs the hot path; the eighth is the checkpointed-over-plain ratio
-/// measured pairwise (see below) for the overhead gate.
-#[allow(clippy::type_complexity)]
-fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
+/// The scan-pipeline section's figures, all at 2 workers.
+struct PipelineFigures {
+    /// All-healthy, unpaced lookups/sec (best plain round).
+    uniform: f64,
+    /// The 3/4-blackholed mix, lookups/sec.
+    backoff: f64,
+    /// Healthy probes/sec alone, and inside the mix (time to the last
+    /// healthy output), each side's best round.
+    healthy_alone: f64,
+    healthy_in_mix: f64,
+    /// Best per-pair healthy-in-mix over healthy-alone ratio.
+    backoff_ratio: f64,
+    /// Checkpointed lookups/sec (best round) and the best per-pair
+    /// checkpointed-over-plain ratio.
+    checkpointed: f64,
+    checkpoint_ratio: f64,
+}
+
+/// Measure the full pipeline. The uniform case is all-healthy with no
+/// pacing (credit-pool cost only). The backoff case sends 3 of every 4
+/// lookups at blackholed destinations serving a constant penalty; the
+/// healthy quarter must not queue behind them — parked lookups return
+/// their credits and the window is stolen for healthy work — so their
+/// completion rate is compared with the same healthy probes run alone.
+/// The checkpointed case re-runs the uniform workload with a durable
+/// checkpoint attached (keeper bookkeeping on every dispatch and
+/// completion, a snapshot every 1000), measuring what durability costs
+/// the hot path.
+fn measure_pipeline(quick: bool) -> PipelineFigures {
     use zdns_wire::Name;
     use zdns_zones::ExplicitUniverse;
 
@@ -434,8 +446,7 @@ fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
             .expect("bench probes only mapped destinations")
     });
 
-    // Uniform: every destination healthy, no pacing — the shared pool's
-    // bookkeeping must not cost throughput against the static split.
+    // Uniform: every destination healthy, no pacing.
     let uniform_n = if quick { 3_000 } else { 10_000 };
     let uniform: Vec<String> = (0..uniform_n)
         .map(|i| format!("u{i}.bench-pipeline.test@{healthy_ip}"))
@@ -444,14 +455,6 @@ fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     std::fs::create_dir_all(&ckpt_dir).unwrap();
     let manifest = ckpt_dir.join("bench.manifest.json");
-    let uniform_static = (0..2)
-        .map(|_| {
-            run_pipeline_case(
-                true, 2, false, 256, 2_000, None, 0.0, None, &addr_map, &uniform,
-            )
-            .0
-        })
-        .fold(0.0f64, f64::max);
     // Checkpointed (identical workload, durable manifest + rolling
     // snapshots attached) vs plain is measured as alternating
     // (plain, durable) pairs, and the overhead gate takes the best
@@ -459,18 +462,13 @@ fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
     // ±10% with scheduler/thermal drift — far more than the few-percent
     // effect being measured — but drift within an adjacent pair
     // largely cancels.
-    let mut uniform_shared = 0.0f64;
-    let mut checkpoint_shared = 0.0f64;
+    let mut uniform_rate = 0.0f64;
+    let mut checkpointed = 0.0f64;
     let mut checkpoint_ratio = 0.0f64;
     for _ in 0..3 {
-        let plain = run_pipeline_case(
-            false, 2, false, 256, 2_000, None, 0.0, None, &addr_map, &uniform,
-        )
-        .0;
+        let plain = run_pipeline_case(2, 256, 2_000, None, 0.0, None, &addr_map, &uniform).0;
         let durable = run_pipeline_case(
-            false,
             2,
-            false,
             256,
             2_000,
             None,
@@ -480,42 +478,15 @@ fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
             &uniform,
         )
         .0;
-        uniform_shared = uniform_shared.max(plain);
-        checkpoint_shared = checkpoint_shared.max(durable);
+        uniform_rate = uniform_rate.max(plain);
+        checkpointed = checkpointed.max(durable);
         checkpoint_ratio = checkpoint_ratio.max(durable / plain);
     }
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
-    // Paced uniform: a 10M pps budget never defers, but every send goes
-    // through the pacer — per-worker buckets in static mode, the
-    // scan-wide ConcurrentPacer (the product default) in shared mode.
-    let (paced_static, _) = run_pipeline_case(
-        true,
-        2,
-        false,
-        256,
-        2_000,
-        None,
-        10_000_000.0,
-        None,
-        &addr_map,
-        &uniform,
-    );
-    let (paced_shared, _) = run_pipeline_case(
-        false,
-        2,
-        false,
-        256,
-        2_000,
-        None,
-        10_000_000.0,
-        None,
-        &addr_map,
-        &uniform,
-    );
-
     // Partial backoff: 3/4 of lookups target blackholes behind a constant
-    // 400ms penalty (80ms timeouts, one retry).
+    // 400ms penalty (80ms timeouts, one retry). The healthy quarter alone
+    // runs under the identical configuration as its reference.
     let backoff_n = if quick { 120 } else { 240 };
     let mixed: Vec<String> = (0..backoff_n)
         .map(|i| {
@@ -529,67 +500,60 @@ fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
             }
         })
         .collect();
-    let (backoff_static, _) = run_pipeline_case(
-        true,
-        2,
-        false,
-        24,
-        80,
-        Some("0.4"),
-        0.0,
-        None,
-        &addr_map,
-        &mixed,
-    );
-    let (backoff_shared, shared_driver) = run_pipeline_case(
-        false,
-        2,
-        false,
-        24,
-        80,
-        Some("0.4"),
-        0.0,
-        None,
-        &addr_map,
-        &mixed,
-    );
-    assert!(
-        shared_driver.idle_credit_returns > 0,
-        "the backoff case must exercise parking"
-    );
-    drop(healthy);
-    (
-        uniform_shared,
-        uniform_static,
-        paced_shared,
-        paced_static,
-        backoff_shared,
-        backoff_static,
-        checkpoint_shared,
+    let healthy_only: Vec<String> = mixed
+        .iter()
+        .filter(|name| name.starts_with("ok"))
+        .cloned()
+        .collect();
+    let healthy_n = healthy_only.len() as f64;
+    let mut figures = PipelineFigures {
+        uniform: uniform_rate,
+        backoff: 0.0,
+        healthy_alone: 0.0,
+        healthy_in_mix: 0.0,
+        backoff_ratio: 0.0,
+        checkpointed,
         checkpoint_ratio,
-    )
+    };
+    for _ in 0..3 {
+        let (_, _, alone_done) =
+            run_pipeline_case(2, 24, 80, Some("0.4"), 0.0, None, &addr_map, &healthy_only);
+        let (mix_rate, mix_driver, mix_done) =
+            run_pipeline_case(2, 24, 80, Some("0.4"), 0.0, None, &addr_map, &mixed);
+        assert!(
+            mix_driver.idle_credit_returns > 0,
+            "the backoff case must exercise parking"
+        );
+        let alone = healthy_n / alone_done.as_secs_f64();
+        let in_mix = healthy_n / mix_done.as_secs_f64();
+        figures.backoff = figures.backoff.max(mix_rate);
+        figures.healthy_alone = figures.healthy_alone.max(alone);
+        figures.healthy_in_mix = figures.healthy_in_mix.max(in_mix);
+        figures.backoff_ratio = figures.backoff_ratio.max(in_mix / alone);
+    }
+    drop(healthy);
+    figures
 }
 
-/// One row of the paced-scaling section: both pacer flavours at one
-/// worker count, plus the best per-pair concurrent/legacy ratio.
+/// One row of the paced-scaling section: paced and unpaced pipeline
+/// throughput at one worker count, plus the best per-pair ratio.
 struct PacedScaleRow {
     workers: usize,
-    concurrent: f64,
-    legacy: f64,
+    paced: f64,
+    unpaced: f64,
     ratio: f64,
 }
 
 /// Multi-worker paced scaling: the full pipeline on an all-healthy
 /// fleet with a never-deferring 10M pps global budget, so every send
-/// pays the scan-wide pacer's admission cost and nothing else differs —
-/// lock-free `ConcurrentPacer` versus the mutex-guarded legacy
-/// `SharedPacer` at 1, 2, and 4 workers. Four wire servers keep the
-/// server side from binding a 4-worker run. Modes alternate in
-/// (legacy, concurrent) pairs and each row reports the best per-pair
-/// ratio, the same drift-cancelling measurement the checkpoint gate
-/// uses. Returns the rows and the 4-worker concurrent driver report
-/// (whose scan-wide `token_blocks_leased` / `pacer_cas_retries` /
-/// `pacer_stripe_waits` telemetry proves which path ran).
+/// pays the scan-wide pacer's admission cost, versus the same pipeline
+/// unpaced — at 1, 2, and 4 workers. Four wire servers keep the server
+/// side from binding a 4-worker run. Modes alternate in (unpaced,
+/// paced) pairs and each row reports the best per-pair ratio, the same
+/// drift-cancelling measurement the checkpoint gate uses. Returns the
+/// rows and the 4-worker paced driver report (whose scan-wide
+/// `token_blocks_leased` / `pacer_cas_retries` / `pacer_stripe_waits`
+/// telemetry proves the paced path ran).
 fn measure_paced_scaling(quick: bool) -> (Vec<PacedScaleRow>, DriverReport) {
     let server_ips: Vec<Ipv4Addr> = (0..4)
         .map(|i| Ipv4Addr::new(203, 0, 113, 70 + i as u8))
@@ -622,15 +586,15 @@ fn measure_paced_scaling(quick: bool) -> (Vec<PacedScaleRow>, DriverReport) {
         let pairs = if workers == 4 { 3 } else { 2 };
         let mut best = PacedScaleRow {
             workers,
-            concurrent: 0.0,
-            legacy: 0.0,
+            paced: 0.0,
+            unpaced: 0.0,
             ratio: 0.0,
         };
         for _ in 0..pairs {
-            let (legacy, _) = run_pipeline_case(
-                false,
+            let (unpaced, _, _) =
+                run_pipeline_case(workers, 256, 2_000, None, 0.0, None, &addr_map, &inputs);
+            let (paced, report, _) = run_pipeline_case(
                 workers,
-                true,
                 256,
                 2_000,
                 None,
@@ -639,21 +603,9 @@ fn measure_paced_scaling(quick: bool) -> (Vec<PacedScaleRow>, DriverReport) {
                 &addr_map,
                 &inputs,
             );
-            let (concurrent, report) = run_pipeline_case(
-                false,
-                workers,
-                false,
-                256,
-                2_000,
-                None,
-                10_000_000.0,
-                None,
-                &addr_map,
-                &inputs,
-            );
-            best.legacy = best.legacy.max(legacy);
-            best.concurrent = best.concurrent.max(concurrent);
-            best.ratio = best.ratio.max(concurrent / legacy);
+            best.unpaced = best.unpaced.max(unpaced);
+            best.paced = best.paced.max(paced);
+            best.ratio = best.ratio.max(paced / unpaced);
             if workers == 4 {
                 gate_report = report;
             }
@@ -875,8 +827,8 @@ fn main() {
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_reactor.json".to_string());
     let min_speedup: Option<f64> = arg_value("--min-speedup").map(|v| v.parse().unwrap());
     let min_view_speedup: Option<f64> = arg_value("--min-view-speedup").map(|v| v.parse().unwrap());
-    let min_uniform_ratio: Option<f64> =
-        arg_value("--min-uniform-ratio").map(|v| v.parse().unwrap());
+    let min_backoff_ratio: Option<f64> =
+        arg_value("--min-backoff-ratio").map(|v| v.parse().unwrap());
     let min_uring_ratio: Option<f64> = arg_value("--min-uring-ratio").map(|v| v.parse().unwrap());
     let min_serve_ratio: Option<f64> = arg_value("--min-serve-ratio").map(|v| v.parse().unwrap());
     let min_checkpoint_ratio: Option<f64> =
@@ -1031,44 +983,25 @@ fn main() {
         e2e_on_fraction * 100.0
     );
 
-    let (
-        uniform_shared,
-        uniform_static,
-        paced_shared,
-        paced_static,
-        backoff_shared,
-        backoff_static,
-        checkpoint_shared,
-        checkpoint_ratio,
-    ) = measure_pipeline(quick);
-    let uniform_ratio = uniform_shared / uniform_static;
-    let paced_ratio = paced_shared / paced_static;
-    // The no-regression gate covers both halves of the leasing design:
-    // credit-pool CAS cost (unpaced) and SharedPacer mutex cost (paced).
-    let gated_uniform_ratio = uniform_ratio.min(paced_ratio);
-    let steal_speedup = backoff_shared / backoff_static;
-    println!("scan pipeline (shared credit pool vs static split, 2 workers):");
+    let pipeline = measure_pipeline(quick);
+    let checkpoint_ratio = pipeline.checkpoint_ratio;
+    println!("scan pipeline (scan-wide credit pool + pacer, 2 workers):");
+    println!("  uniform:         {:>8.0} lookups/s", pipeline.uniform);
     println!(
-        "  uniform:         shared {uniform_shared:>8.0} vs static {uniform_static:>8.0} \
-         lookups/s ({uniform_ratio:.2}x)"
+        "  partial backoff: {:>8.1} lookups/s; healthy probes {:>8.1}/s in the mix vs \
+         {:>8.1}/s alone ({:.3}x paired — parked lookups free the window)",
+        pipeline.backoff, pipeline.healthy_in_mix, pipeline.healthy_alone, pipeline.backoff_ratio
     );
     println!(
-        "  uniform paced:   shared {paced_shared:>8.0} vs static {paced_static:>8.0} \
-         lookups/s ({paced_ratio:.2}x — shared-pacer mutex on every send)"
-    );
-    println!(
-        "  partial backoff: shared {backoff_shared:>8.1} vs static {backoff_static:>8.1} \
-         lookups/s ({steal_speedup:.2}x — parked lookups free the window)"
-    );
-    println!(
-        "  checkpointed:    durable {checkpoint_shared:>8.0} vs plain {uniform_shared:>8.0} \
-         lookups/s ({checkpoint_ratio:.2}x paired — keeper bookkeeping + snapshot every 1000)"
+        "  checkpointed:    durable {:>8.0} vs plain {:>8.0} lookups/s ({:.2}x paired — \
+         keeper bookkeeping + snapshot every 1000)",
+        pipeline.checkpointed, pipeline.uniform, checkpoint_ratio
     );
 
     let (paced_rows, paced_report) = measure_paced_scaling(quick);
     assert!(
         paced_report.token_blocks_leased > 0,
-        "the concurrent-pacer runs must lease token blocks"
+        "the paced runs must lease token blocks"
     );
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1078,19 +1011,19 @@ fn main() {
         .find(|r| r.workers == 4)
         .map(|r| r.ratio)
         .expect("4-worker row always measured");
-    println!("paced scaling (10M pps budget, concurrent vs legacy-shared pacer, {cores} cores):");
+    println!("paced scaling (10M pps budget vs unpaced, {cores} cores):");
     for row in &paced_rows {
         println!(
-            "  {} worker{}: concurrent {:>8.0} vs legacy {:>8.0} lookups/s ({:.2}x paired)",
+            "  {} worker{}: paced {:>8.0} vs unpaced {:>8.0} lookups/s ({:.2}x paired)",
             row.workers,
             if row.workers == 1 { " " } else { "s" },
-            row.concurrent,
-            row.legacy,
+            row.paced,
+            row.unpaced,
             row.ratio
         );
     }
     println!(
-        "  4-worker concurrent telemetry: {} blocks leased, {} CAS retries, {} stripe waits",
+        "  4-worker paced telemetry: {} blocks leased, {} CAS retries, {} stripe waits",
         paced_report.token_blocks_leased,
         paced_report.pacer_cas_retries,
         paced_report.pacer_stripe_waits
@@ -1125,7 +1058,7 @@ fn main() {
 
     let json = serde_json::json!({
         "bench": "reactor_batched_vs_per_datagram",
-        "schema_version": 6,
+        "schema_version": 7,
         "kernel": {
             "sendto_ns_per_datagram": sendto_ns,
             "sendmmsg_ns_per_datagram": sendmmsg_ns,
@@ -1196,27 +1129,21 @@ fn main() {
         "pipeline": {
             "workers": 2,
             "uniform": {
-                "shared_lookups_per_sec": uniform_shared,
-                "static_lookups_per_sec": uniform_static,
-                "shared_over_static": uniform_ratio,
-            },
-            "uniform_paced": {
-                "rate_pps": 10_000_000.0,
-                "shared_lookups_per_sec": paced_shared,
-                "static_lookups_per_sec": paced_static,
-                "shared_over_static": paced_ratio,
+                "lookups_per_sec": pipeline.uniform,
             },
             "partial_backoff": {
                 "dead_fraction": 0.75,
-                "shared_lookups_per_sec": backoff_shared,
-                "static_lookups_per_sec": backoff_static,
-                "steal_speedup": steal_speedup,
+                "lookups_per_sec": pipeline.backoff,
+                "healthy_alone_per_sec": pipeline.healthy_alone,
+                "healthy_in_mix_per_sec": pipeline.healthy_in_mix,
+                "healthy_mix_over_alone": pipeline.backoff_ratio,
+                "measurement": "healthy probes / time to their last output; best per-pair ratio over 3 alternating (alone, mix) rounds, rates are each side's best round",
             },
             "checkpoint": {
                 "checkpoint_every": 1000,
-                "checkpointed_lookups_per_sec": checkpoint_shared,
-                "plain_lookups_per_sec": uniform_shared,
-                "checkpointed_over_plain": checkpoint_ratio,
+                "checkpointed_lookups_per_sec": pipeline.checkpointed,
+                "plain_lookups_per_sec": pipeline.uniform,
+                "checkpointed_over_plain": pipeline.checkpoint_ratio,
                 "measurement": "best per-pair ratio over 3 alternating (plain, durable) rounds; lookups/s are each side's best round",
             },
             "paced_scaling": {
@@ -1224,16 +1151,16 @@ fn main() {
                 "cores": cores,
                 "scaling": paced_rows.iter().map(|r| serde_json::json!({
                     "workers": r.workers,
-                    "concurrent_lookups_per_sec": r.concurrent,
-                    "legacy_lookups_per_sec": r.legacy,
-                    "concurrent_over_legacy": r.ratio,
+                    "paced_lookups_per_sec": r.paced,
+                    "unpaced_lookups_per_sec": r.unpaced,
+                    "paced_over_unpaced": r.ratio,
                 })).collect::<Vec<_>>(),
                 "gate_workers": 4,
-                "concurrent_over_legacy": paced_gate_ratio,
+                "paced_over_unpaced": paced_gate_ratio,
                 "token_blocks_leased": paced_report.token_blocks_leased,
                 "pacer_cas_retries": paced_report.pacer_cas_retries,
                 "pacer_stripe_waits": paced_report.pacer_stripe_waits,
-                "measurement": "best per-pair ratio over alternating (legacy, concurrent) rounds; lookups/s are each side's best round",
+                "measurement": "best per-pair ratio over alternating (unpaced, paced) rounds; lookups/s are each side's best round",
             },
         },
     });
@@ -1256,19 +1183,16 @@ fn main() {
         }
         println!("bench_reactor: view-decode gate passed ({view_speedup:.2}x >= {min:.2}x)");
     }
-    if let Some(min) = min_uniform_ratio {
-        if gated_uniform_ratio < min {
+    if let Some(min) = min_backoff_ratio {
+        let ratio = pipeline.backoff_ratio;
+        if ratio < min {
             eprintln!(
-                "bench_reactor: FAIL — shared-queue uniform throughput \
-                 {gated_uniform_ratio:.2}x of static split (unpaced {uniform_ratio:.2}x, \
-                 paced {paced_ratio:.2}x), below the {min:.2}x no-regression gate"
+                "bench_reactor: FAIL — healthy probes in the partial-backoff mix at \
+                 {ratio:.3}x of their rate alone, below the {min:.3}x gate"
             );
             std::process::exit(1);
         }
-        println!(
-            "bench_reactor: shared-queue uniform gate passed \
-             (min(unpaced {uniform_ratio:.2}x, paced {paced_ratio:.2}x) >= {min:.2}x)"
-        );
+        println!("bench_reactor: partial-backoff gate passed ({ratio:.3}x >= {min:.3}x)");
     }
     if let Some(min) = min_uring_ratio {
         match uring_ratio {
@@ -1323,26 +1247,13 @@ fn main() {
         );
     }
     if let Some(min) = min_paced_ratio {
-        if cores < 2 {
-            // The gated property is cross-worker contention relief; a
-            // single hardware thread time-slices the workers, so the
-            // legacy mutex is effectively uncontended and the ratio
-            // measures scheduler noise, not the pacer. Same shape as the
-            // uring gate's auto-pass on ringless kernels.
-            println!(
-                "bench_reactor: paced-scaling gate skipped ({cores} core — cross-worker \
-                 mutex contention unexpressible; measured {paced_gate_ratio:.2}x recorded)"
-            );
-        } else if paced_gate_ratio < min {
+        if paced_gate_ratio < min {
             eprintln!(
-                "bench_reactor: FAIL — 4-worker concurrent pacer at {paced_gate_ratio:.2}x \
-                 of the legacy shared pacer, below the {min:.2}x gate"
+                "bench_reactor: FAIL — 4-worker paced pipeline at {paced_gate_ratio:.2}x \
+                 of the unpaced pipeline, below the {min:.2}x gate"
             );
             std::process::exit(1);
-        } else {
-            println!(
-                "bench_reactor: paced-scaling gate passed ({paced_gate_ratio:.2}x >= {min:.2}x)"
-            );
         }
+        println!("bench_reactor: paced gate passed ({paced_gate_ratio:.2}x >= {min:.2}x)");
     }
 }

@@ -55,9 +55,7 @@ pub use driver::{Admission, BatchHistogram, BlockingDriver, Driver, DriverReport
 pub use machine::{
     DirectMachine, ExternalMachine, IterativeMachine, ResolveTarget, ResolverCore, ResultSink,
 };
-pub use pacer::{
-    ConcurrentGate, ConcurrentPacer, Pacer, PacerConfig, SharedPacer, TokenBlock, TOKEN_BLOCK,
-};
+pub use pacer::{ConcurrentPacer, Pacer, PacerConfig, TokenBlock, TOKEN_BLOCK};
 pub use packet_cache::{PacketCache, PacketEntry, PacketLookup};
 pub use reactor::{Reactor, ReactorConfig, DEFAULT_BATCH_SIZE};
 pub use resolver::{collecting_sink, drive_blocking, drive_blocking_paced, AddrMap, Resolver};

@@ -450,6 +450,8 @@ struct Walk {
     attempt: u32,
     /// Which candidate of the parent walk this NS-address walk serves.
     parent_cand: Option<usize>,
+    /// The candidates came from a cached cut rather than a live referral.
+    from_cache: bool,
 }
 
 /// What the iterative machine is after.
@@ -504,8 +506,10 @@ impl IterativeMachine {
         }
     }
 
-    fn new_walk(&mut self, q: Question, parent_cand: Option<usize>, now: SimTime) -> Walk {
-        let (zone, candidates, cached) = match self.core.cache.deepest_cut(&q.name, now) {
+    /// Where to start resolving `name`: the deepest cached cut enclosing
+    /// it, or the root hints. Returns `(zone, candidates, from_cache)`.
+    fn start_cut(&self, name: &Name, now: SimTime) -> (Name, Vec<Candidate>, bool) {
+        match self.core.cache.deepest_cut(name, now) {
             Some((cut, ns_records)) => {
                 let candidates = self.candidates_from_ns(&ns_records, &[], now);
                 (cut, candidates, true)
@@ -524,8 +528,12 @@ impl IterativeMachine {
                     .collect();
                 (Name::root(), candidates, false)
             }
-        };
-        if cached && self.core.config.trace {
+        }
+    }
+
+    fn new_walk(&mut self, q: Question, parent_cand: Option<usize>, now: SimTime) -> Walk {
+        let (zone, candidates, from_cache) = self.start_cut(&q.name, now);
+        if from_cache && self.core.config.trace {
             self.trace
                 .push(step_for(&q, &zone, 1, "cache".to_string(), 1, true, None));
         }
@@ -539,6 +547,7 @@ impl IterativeMachine {
             cand_idx: 0,
             attempt: 0,
             parent_cand,
+            from_cache,
         };
         Self::rotate_candidates(&mut walk);
         walk
@@ -673,7 +682,24 @@ impl IterativeMachine {
                 self.stack.push(sub);
                 continue;
             }
-            // All candidates dead: this walk failed.
+            // All candidates dead. A cached cut can outlive the glue of
+            // its in-bailiwick nameservers (the cache evicts the A RRsets
+            // independently), which leaves them unreachable by the cycle
+            // guard above: resolve from the next shallower cut instead,
+            // whose referral re-supplies the glue.
+            if walk.from_cache && walk.candidates.iter().any(|c| c.addr.is_none()) {
+                let above = walk.zone.parent();
+                let (zone, candidates, from_cache) = self.start_cut(&above, now);
+                let walk = self.stack.last_mut().expect("active walk");
+                walk.zone = zone;
+                walk.candidates = candidates;
+                walk.from_cache = from_cache;
+                walk.cand_idx = 0;
+                walk.attempt = 0;
+                Self::rotate_candidates(walk);
+                continue;
+            }
+            // Nothing left to try: this walk failed.
             let failed = self.stack.pop().expect("active walk");
             if self.stack.is_empty() {
                 return self.finish(now, Status::ServFail, None);
@@ -984,6 +1010,7 @@ impl IterativeMachine {
             let candidates = self.candidates_from_ns(&ns_refs, &glue, now);
             let w = self.stack.last_mut().expect("active walk");
             w.candidates = candidates;
+            w.from_cache = false;
             Self::rotate_candidates(w);
             self.cache_referral(&cut, &ns_refs, &glue, &bailiwick, now);
             return self.advance(now, out);

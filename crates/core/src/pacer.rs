@@ -3,7 +3,7 @@
 //! The paper's central operational finding is that resolver-side rate
 //! limiting dominates scan fidelity: Google Public DNS's per-client-IP
 //! token buckets cost /32 scans a ~6× success-rate drop, and retries
-//! *inside* the penalty window cannot succeed. The [`Pacer`] is the
+//! *inside* the penalty window cannot succeed. The pacer is the
 //! client-side answer — keep the offered load under the budget instead
 //! of discovering it through drops:
 //!
@@ -14,15 +14,20 @@
 //!   penalty multiplicatively, successes decay it — the real-socket
 //!   stand-in for ICMP source-quench-style signals.
 //!
-//! Admission is *reservation-based* ([`TokenBucket::reserve`]): a
-//! deferred send gets a firm release time and its budget is debited at
-//! admission, so a queue of deferred sends drains at exactly the
-//! configured rate with no thundering herd and no re-polling.
+//! Admission is *reservation-based*: a deferred send gets a firm release
+//! time and its budget is debited at admission, so a queue of deferred
+//! sends drains at exactly the configured rate with no thundering herd
+//! and no re-polling.
 //!
-//! The same `Pacer` drives every execution mode: the reactor arms
-//! release times on its timer wheel, `drive_blocking` sleeps until
-//! release, and the discrete-event engine accepts it as a
-//! [`SendGate`] so paced scans are reproducible under virtual time.
+//! One implementation holds the pacing state: the lock-free
+//! [`ConcurrentPacer`]. Each driver reaches it through a [`Pacer`] handle
+//! (its own token block plus an `Arc` of the state) — a private one for
+//! a lone driver, or one joined by every worker of a scan so the whole
+//! scan shares one budget and one backoff memory. The same handle drives
+//! every execution mode: the reactor arms release times on its timer
+//! wheel, `drive_blocking` sleeps until release, and the discrete-event
+//! engine accepts it as a [`SendGate`] so paced scans are reproducible
+//! under virtual time.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -33,7 +38,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use zdns_pacing::{AtomicBucket, Nanos, PaceDecision, SendGate, SlotLease, TokenBucket, SECONDS};
 
-/// Tunables for one [`Pacer`].
+/// Tunables for one [`ConcurrentPacer`].
 #[derive(Debug, Clone)]
 pub struct PacerConfig {
     /// Global send budget in packets/second (0 = unlimited).
@@ -68,17 +73,6 @@ impl PacerConfig {
     /// True when any pacing or backoff behaviour is configured.
     pub fn enabled(&self) -> bool {
         self.rate_pps > 0.0 || self.per_host_pps > 0.0 || self.backoff
-    }
-
-    /// Split the budgets across `workers` parallel drivers so their
-    /// aggregate send rate stays within the configured totals.
-    pub fn split(&self, workers: usize) -> PacerConfig {
-        let n = workers.max(1) as f64;
-        PacerConfig {
-            rate_pps: self.rate_pps / n,
-            per_host_pps: self.per_host_pps / n,
-            ..self.clone()
-        }
     }
 
     fn burst_for(&self, rate: f64) -> f64 {
@@ -154,209 +148,6 @@ impl BuildHasher for HostHash {
     }
 }
 
-type HostMap = HashMap<Ipv4Addr, HostState, HostHash>;
-
-/// Fetch-or-create the pacing state for `dest` in a host table bounded
-/// at `cap` entries, pruning idle entries first and force-evicting the
-/// probed soonest-to-expire entry when the prune frees nothing. Shared
-/// by the single-threaded [`Pacer`] (cap = [`MAX_HOSTS`]) and each
-/// stripe of the [`ConcurrentPacer`] (cap = [`MAX_HOSTS`] / stripes).
-fn host_state_in<'a>(
-    hosts: &'a mut HostMap,
-    evictions: &mut u64,
-    config: &PacerConfig,
-    cap: usize,
-    dest: Ipv4Addr,
-    now: Nanos,
-) -> &'a mut HostState {
-    if hosts.len() >= cap && !hosts.contains_key(&dest) {
-        // Prune destinations that are idle: no penalty pending and no
-        // failure streak worth remembering.
-        let before = hosts.len();
-        hosts.retain(|_, st| st.streak > 0 || st.not_before > now);
-        *evictions += (before - hosts.len()) as u64;
-        // The prune is opportunistic; under a flood that penalizes
-        // every entry it frees nothing, so enforce the bound by
-        // evicting the probed entry whose penalty expires soonest
-        // (HashMap iteration order is effectively random).
-        while hosts.len() >= cap {
-            let victim = hosts
-                .iter()
-                .take(HOST_EVICT_PROBES)
-                .min_by_key(|(_, st)| (st.not_before, st.streak))
-                .map(|(ip, _)| *ip);
-            let Some(ip) = victim else { break };
-            hosts.remove(&ip);
-            *evictions += 1;
-        }
-    }
-    hosts.entry(dest).or_insert_with(|| HostState {
-        bucket: (config.per_host_pps > 0.0)
-            .then(|| TokenBucket::new(config.per_host_pps, config.burst_for(config.per_host_pps))),
-        not_before: 0,
-        streak: 0,
-    })
-}
-
-/// A pacer shared by every worker of one scan — how the shared-queue
-/// pipeline leases one whole-scan pacing budget dynamically instead of
-/// splitting it statically with [`PacerConfig::split`]. Reserving from
-/// the shared buckets *is* the lease: an idle worker simply does not
-/// reserve, so active workers absorb the whole budget with no
-/// rebalancing step. Backoff memory is shared too — a destination one
-/// worker learns is struggling is immediately backed off for all of
-/// them.
-pub type SharedPacer = std::sync::Arc<parking_lot::Mutex<Pacer>>;
-
-/// The client-side pacing + backoff subsystem. One per driver (reactor
-/// worker / blocking driver / simulation engine); not thread-safe by
-/// design — drivers own their pacer the way they own their socket, and
-/// scans that want one scan-wide pacer share it as a [`SharedPacer`].
-pub struct Pacer {
-    config: PacerConfig,
-    global: Option<TokenBucket>,
-    hosts: HostMap,
-    /// Destinations currently serving a backoff penalty (observability).
-    pub backoff_events: u64,
-    /// Host entries dropped to hold the table at its capacity bound —
-    /// both idle prunes and forced evictions of still-penalized entries.
-    pub host_evictions: u64,
-}
-
-impl Pacer {
-    /// Build from a config.
-    pub fn new(config: PacerConfig) -> Pacer {
-        let global = (config.rate_pps > 0.0)
-            .then(|| TokenBucket::new(config.rate_pps, config.burst_for(config.rate_pps)));
-        Pacer {
-            config,
-            global,
-            hosts: HostMap::default(),
-            backoff_events: 0,
-            host_evictions: 0,
-        }
-    }
-
-    /// The configuration this pacer was built from.
-    pub fn config(&self) -> &PacerConfig {
-        &self.config
-    }
-
-    /// Destinations with live pacing state.
-    pub fn tracked_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Spill the adaptive-backoff memory: every destination still
-    /// serving a penalty (or carrying a failure streak) as
-    /// `(destination, streak, remaining penalty)` relative to `now`.
-    /// This is what a scan checkpoint persists so a resumed scan
-    /// re-approaches struggling destinations as carefully as the
-    /// interrupted one was — instead of re-discovering every penalty
-    /// through a fresh burst of drops.
-    pub fn backoff_snapshot(&self, now: Nanos) -> Vec<(Ipv4Addr, u32, Nanos)> {
-        self.hosts
-            .iter()
-            .filter(|(_, st)| st.streak > 0 || st.not_before > now)
-            .map(|(ip, st)| (*ip, st.streak, st.not_before.saturating_sub(now)))
-            .collect()
-    }
-
-    /// Re-seed backoff memory from a [`Pacer::backoff_snapshot`]:
-    /// each entry's penalty resumes with `remaining` nanoseconds left
-    /// from `now`, and its failure streak is restored so the next
-    /// failure continues the multiplicative curve where it left off.
-    /// Entries never *shorten* state learned since `now` (restore is
-    /// monotone), and a pacer without backoff enabled ignores them.
-    pub fn restore_backoff(&mut self, entries: &[(Ipv4Addr, u32, Nanos)], now: Nanos) {
-        if !self.config.backoff {
-            return;
-        }
-        for &(ip, streak, remaining) in entries {
-            let state = self.host_state(ip, now);
-            state.streak = state.streak.max(streak);
-            state.not_before = state.not_before.max(now.saturating_add(remaining));
-        }
-    }
-
-    fn host_state(&mut self, dest: Ipv4Addr, now: Nanos) -> &mut HostState {
-        host_state_in(
-            &mut self.hosts,
-            &mut self.host_evictions,
-            &self.config,
-            MAX_HOSTS,
-            dest,
-            now,
-        )
-    }
-}
-
-impl SendGate for Pacer {
-    fn admit(&mut self, dest: Ipv4Addr, now: Nanos) -> PaceDecision {
-        if !self.config.enabled() {
-            return PaceDecision::Ready;
-        }
-        // Reservations are *chained*, not max'd independently: the host
-        // bucket reserves starting from whatever instant the global
-        // budget (and any backoff penalty) already pushed the send to.
-        // Taking a max of independent reservations would let a slower
-        // constraint collapse many spaced release times onto one instant
-        // — e.g. every retry held behind an 8s penalty firing together
-        // when it expires — and a thundering herd at a struggling
-        // destination is exactly what the pacer exists to prevent.
-        let mut release = match self.global.as_mut() {
-            Some(bucket) => bucket.reserve(now),
-            None => now,
-        };
-        let mut host_limited = false;
-        if self.config.per_host_pps > 0.0 || self.config.backoff {
-            let state = self.host_state(dest, now);
-            let floor = release.max(state.not_before);
-            let host_release = match state.bucket.as_mut() {
-                Some(bucket) => bucket.reserve(floor),
-                None => floor,
-            };
-            if host_release > release {
-                host_limited = host_release > now;
-                release = host_release;
-            }
-        }
-        if release <= now {
-            PaceDecision::Ready
-        } else {
-            PaceDecision::Defer {
-                until: release,
-                host_limited,
-            }
-        }
-    }
-
-    fn on_success(&mut self, dest: Ipv4Addr, _now: Nanos) {
-        if !self.config.backoff {
-            return;
-        }
-        if let Some(state) = self.hosts.get_mut(&dest) {
-            // Decay: a success halves the remembered failure streak.
-            state.streak /= 2;
-        }
-    }
-
-    fn on_failure(&mut self, dest: Ipv4Addr, now: Nanos) {
-        if !self.config.backoff {
-            return;
-        }
-        let (base, cap) = (self.config.backoff_base, self.config.backoff_cap);
-        let state = self.host_state(dest, now);
-        state.streak = state.streak.saturating_add(1);
-        // Multiplicative increase: base × 2^(streak-1), capped.
-        let penalty = base
-            .saturating_mul(1u64 << (state.streak - 1).min(24))
-            .min(cap);
-        state.not_before = state.not_before.max(now + penalty);
-        self.backoff_events += 1;
-    }
-}
-
 /// Stripe count for the [`ConcurrentPacer`] host table. Power of two so
 /// stripe selection is a mask off the same FNV/splitmix hash the
 /// in-stripe map uses — the same keying as the 64-way selective cache.
@@ -375,12 +166,50 @@ pub const TOKEN_BLOCK: u32 = 8;
 /// One stripe of the concurrent pacer's per-destination table.
 #[derive(Default)]
 struct HostStripe {
-    hosts: HostMap,
+    hosts: HashMap<Ipv4Addr, HostState, HostHash>,
     /// Stripe-local spills of the shared counters, summed on read so the
     /// hot path never touches a cross-stripe atomic while holding the
     /// stripe lock.
     evictions: u64,
     backoff_events: u64,
+}
+
+impl HostStripe {
+    /// Fetch-or-create the pacing state for `dest`, holding the stripe
+    /// at [`STRIPE_CAP`] entries: idle entries are pruned first, and the
+    /// probed soonest-to-expire entry is force-evicted when the prune
+    /// frees nothing.
+    fn state(&mut self, config: &PacerConfig, dest: Ipv4Addr, now: Nanos) -> &mut HostState {
+        let hosts = &mut self.hosts;
+        if hosts.len() >= STRIPE_CAP && !hosts.contains_key(&dest) {
+            // Prune destinations that are idle: no penalty pending and no
+            // failure streak worth remembering.
+            let before = hosts.len();
+            hosts.retain(|_, st| st.streak > 0 || st.not_before > now);
+            self.evictions += (before - hosts.len()) as u64;
+            // The prune is opportunistic; under a flood that penalizes
+            // every entry it frees nothing, so enforce the bound by
+            // evicting the probed entry whose penalty expires soonest
+            // (HashMap iteration order is effectively random).
+            while hosts.len() >= STRIPE_CAP {
+                let victim = hosts
+                    .iter()
+                    .take(HOST_EVICT_PROBES)
+                    .min_by_key(|(_, st)| (st.not_before, st.streak))
+                    .map(|(ip, _)| *ip);
+                let Some(ip) = victim else { break };
+                hosts.remove(&ip);
+                self.evictions += 1;
+            }
+        }
+        hosts.entry(dest).or_insert_with(|| HostState {
+            bucket: (config.per_host_pps > 0.0).then(|| {
+                TokenBucket::new(config.per_host_pps, config.burst_for(config.per_host_pps))
+            }),
+            not_before: 0,
+            streak: 0,
+        })
+    }
 }
 
 /// A worker's private slice of the global budget: a run of token slots
@@ -401,9 +230,9 @@ impl TokenBlock {
     }
 }
 
-/// The scan-wide pacer without the scan-wide lock: semantically a
-/// [`SharedPacer`] (one global budget, shared per-destination backoff
-/// memory), structurally three independent layers —
+/// The pacing state — one global budget plus shared per-destination
+/// backoff memory — built as three independent layers so several
+/// workers can share it without a lock on the send path:
 ///
 /// 1. the **global budget** is a lock-free [`AtomicBucket`]; workers
 ///    lease token *blocks* (default [`TOKEN_BLOCK`], clamped to burst)
@@ -412,12 +241,12 @@ impl TokenBlock {
 ///    FNV/splitmix host hash, each stripe behind its own short mutex —
 ///    two workers contend only when pacing the same stripe, and the
 ///    reservation chain (global release → backoff floor → host bucket)
-///    runs unchanged inside the stripe, preserving the no-herd contract;
+///    runs inside the stripe, preserving the no-herd contract;
 /// 3. **telemetry** (`cas_retries`, `stripe_waits`, `blocks_leased`)
 ///    makes residual contention observable in driver reports.
 ///
-/// Shared as `Arc<ConcurrentPacer>`; each worker drives it through a
-/// [`ConcurrentGate`] holding that worker's current [`TokenBlock`].
+/// Shared as `Arc<ConcurrentPacer>`; each driver holds a [`Pacer`]
+/// handle carrying its current [`TokenBlock`].
 pub struct ConcurrentPacer {
     config: PacerConfig,
     global: Option<AtomicBucket>,
@@ -491,10 +320,16 @@ impl ConcurrentPacer {
         bucket.slot_release(lease, block.used, now)
     }
 
-    /// Admit one send to `dest` at `now`, consuming from `block`. Same
-    /// chained-reservation semantics as [`Pacer`]'s [`SendGate::admit`]:
-    /// global slot → backoff floor → host bucket, so deferred sends stay
-    /// spaced and penalty expiry never releases a herd.
+    /// Admit one send to `dest` at `now`, consuming from `block`.
+    ///
+    /// Reservations are *chained*, not max'd independently: global slot
+    /// → backoff floor → host bucket, each reserving from the instant
+    /// the previous constraint pushed the send to. Taking a max of
+    /// independent reservations would let a slower constraint collapse
+    /// many spaced release times onto one instant — e.g. every retry
+    /// held behind an 8s penalty firing together when it expires — and a
+    /// thundering herd at a struggling destination is exactly what the
+    /// pacer exists to prevent.
     pub fn admit(&self, block: &mut TokenBlock, dest: Ipv4Addr, now: Nanos) -> PaceDecision {
         if !self.config.enabled() {
             return PaceDecision::Ready;
@@ -503,15 +338,7 @@ impl ConcurrentPacer {
         let mut host_limited = false;
         if self.config.per_host_pps > 0.0 || self.config.backoff {
             let mut stripe = self.lock_stripe(dest);
-            let stripe = &mut *stripe;
-            let state = host_state_in(
-                &mut stripe.hosts,
-                &mut stripe.evictions,
-                &self.config,
-                STRIPE_CAP,
-                dest,
-                now,
-            );
+            let state = stripe.state(&self.config, dest, now);
             let floor = release.max(state.not_before);
             let host_release = match state.bucket.as_mut() {
                 Some(bucket) => bucket.reserve(floor),
@@ -545,23 +372,14 @@ impl ConcurrentPacer {
 
     /// Feedback: a query to `dest` timed out or failed in transport.
     /// The penalty lands in the shared stripe, so every worker backs off
-    /// the destination at its next admit — scan-wide backoff memory,
-    /// exactly as under the mutex pacer.
+    /// the destination at its next admit — scan-wide backoff memory.
     pub fn on_failure(&self, dest: Ipv4Addr, now: Nanos) {
         if !self.config.backoff {
             return;
         }
         let (base, cap) = (self.config.backoff_base, self.config.backoff_cap);
         let mut stripe = self.lock_stripe(dest);
-        let stripe = &mut *stripe;
-        let state = host_state_in(
-            &mut stripe.hosts,
-            &mut stripe.evictions,
-            &self.config,
-            STRIPE_CAP,
-            dest,
-            now,
-        );
+        let state = stripe.state(&self.config, dest, now);
         state.streak = state.streak.saturating_add(1);
         // Multiplicative increase: base × 2^(streak-1), capped.
         let penalty = base
@@ -589,9 +407,13 @@ impl ConcurrentPacer {
         self.stripes.iter().map(|s| s.lock().hosts.len()).sum()
     }
 
-    /// Scan-wide backoff memory as `(destination, streak, remaining)` —
-    /// see [`Pacer::backoff_snapshot`]; identical wire format, so scan
-    /// checkpoints are interchangeable between pacer implementations.
+    /// Spill the adaptive-backoff memory: every destination still
+    /// serving a penalty (or carrying a failure streak) as
+    /// `(destination, streak, remaining penalty)` relative to `now`.
+    /// This is what a scan checkpoint persists so a resumed scan
+    /// re-approaches struggling destinations as carefully as the
+    /// interrupted one was — instead of re-discovering every penalty
+    /// through a fresh burst of drops.
     pub fn backoff_snapshot(&self, now: Nanos) -> Vec<(Ipv4Addr, u32, Nanos)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
@@ -607,23 +429,19 @@ impl ConcurrentPacer {
         out
     }
 
-    /// Re-seed backoff memory from a snapshot — monotone and gated on
-    /// backoff being enabled, like [`Pacer::restore_backoff`].
+    /// Re-seed backoff memory from a [`ConcurrentPacer::backoff_snapshot`]:
+    /// each entry's penalty resumes with `remaining` nanoseconds left
+    /// from `now`, and its failure streak is restored so the next
+    /// failure continues the multiplicative curve where it left off.
+    /// Entries never *shorten* state learned since `now` (restore is
+    /// monotone), and a pacer without backoff enabled ignores them.
     pub fn restore_backoff(&self, entries: &[(Ipv4Addr, u32, Nanos)], now: Nanos) {
         if !self.config.backoff {
             return;
         }
         for &(ip, streak, remaining) in entries {
             let mut stripe = self.lock_stripe(ip);
-            let stripe = &mut *stripe;
-            let state = host_state_in(
-                &mut stripe.hosts,
-                &mut stripe.evictions,
-                &self.config,
-                STRIPE_CAP,
-                ip,
-                now,
-            );
+            let state = stripe.state(&self.config, ip, now);
             state.streak = state.streak.max(streak);
             state.not_before = state.not_before.max(now.saturating_add(remaining));
         }
@@ -656,55 +474,61 @@ impl ConcurrentPacer {
     }
 }
 
-/// One worker's handle on a shared [`ConcurrentPacer`]: the `Arc` plus
-/// that worker's current [`TokenBlock`]. Implements [`SendGate`], so it
-/// drops into every place a [`Pacer`] does — including the virtual-time
-/// simulation engine — with no behavioural difference beyond losing the
-/// lock.
-pub struct ConcurrentGate {
-    pacer: Arc<ConcurrentPacer>,
+/// One driver's handle on a [`ConcurrentPacer`]: the shared state plus
+/// that driver's current [`TokenBlock`]. Implements [`SendGate`], so the
+/// reactor, the blocking driver and the virtual-time simulation engine
+/// all pace through the same code.
+pub struct Pacer {
+    shared: Arc<ConcurrentPacer>,
     block: TokenBlock,
 }
 
-impl ConcurrentGate {
-    /// A new gate over `pacer` with an empty token block (the first
-    /// admit leases one).
-    pub fn new(pacer: Arc<ConcurrentPacer>) -> ConcurrentGate {
-        ConcurrentGate {
-            pacer,
+impl Pacer {
+    /// A handle on fresh pacing state of its own — a lone driver's
+    /// budget and backoff memory.
+    pub fn new(config: PacerConfig) -> Pacer {
+        Pacer::join(Arc::new(ConcurrentPacer::new(config)))
+    }
+
+    /// A handle on `shared` with an empty token block (the first admit
+    /// leases one): every handle joined to one state paces against one
+    /// budget and one backoff memory.
+    pub fn join(shared: Arc<ConcurrentPacer>) -> Pacer {
+        Pacer {
+            shared,
             block: TokenBlock::default(),
         }
     }
 
-    /// The shared pacer behind this gate.
-    pub fn pacer(&self) -> &Arc<ConcurrentPacer> {
-        &self.pacer
+    /// The pacing state behind this handle.
+    pub fn shared(&self) -> &Arc<ConcurrentPacer> {
+        &self.shared
     }
 
     /// Give unused block tokens back to the global budget (park/idle).
     pub fn return_tokens(&mut self) {
-        self.pacer.return_block(&mut self.block);
+        self.shared.return_block(&mut self.block);
     }
 }
 
-impl Drop for ConcurrentGate {
+impl Drop for Pacer {
     fn drop(&mut self) {
         // A worker that exits mid-block must not strand budget.
         self.return_tokens();
     }
 }
 
-impl SendGate for ConcurrentGate {
+impl SendGate for Pacer {
     fn admit(&mut self, dest: Ipv4Addr, now: Nanos) -> PaceDecision {
-        self.pacer.admit(&mut self.block, dest, now)
+        self.shared.admit(&mut self.block, dest, now)
     }
 
     fn on_success(&mut self, dest: Ipv4Addr, now: Nanos) {
-        self.pacer.on_success(dest, now);
+        self.shared.on_success(dest, now);
     }
 
     fn on_failure(&mut self, dest: Ipv4Addr, now: Nanos) {
-        self.pacer.on_failure(dest, now);
+        self.shared.on_failure(dest, now);
     }
 }
 
@@ -738,7 +562,7 @@ mod tests {
             pacer.on_failure(IP_A, 0);
         }
         pacer.on_failure(IP_B, 0);
-        let snap = pacer.backoff_snapshot(100 * zdns_pacing::MILLIS);
+        let snap = pacer.shared().backoff_snapshot(100 * zdns_pacing::MILLIS);
         assert_eq!(snap.len(), 2);
         let a = snap.iter().find(|(ip, _, _)| *ip == IP_A).unwrap();
         assert_eq!(a.1, 3);
@@ -746,7 +570,7 @@ mod tests {
 
         // A fresh pacer (a resumed scan) picks the penalties back up.
         let mut resumed = Pacer::new(config);
-        resumed.restore_backoff(&snap, 0);
+        resumed.shared().restore_backoff(&snap, 0);
         match resumed.admit(IP_A, 0) {
             PaceDecision::Defer { until, .. } => {
                 assert_eq!(until, 700 * zdns_pacing::MILLIS);
@@ -756,15 +580,15 @@ mod tests {
         // The restored streak continues the curve: next failure at IP_A
         // is the 4th -> 1.6s penalty.
         resumed.on_failure(IP_A, 0);
-        let again = resumed.backoff_snapshot(0);
+        let again = resumed.shared().backoff_snapshot(0);
         let a = again.iter().find(|(ip, _, _)| *ip == IP_A).unwrap();
         assert_eq!(a.1, 4);
         assert_eq!(a.2, 1_600 * zdns_pacing::MILLIS);
 
         // Restore is monotone and gated on backoff being enabled.
-        let mut disabled = Pacer::new(PacerConfig::default());
-        disabled.restore_backoff(&snap, 0);
-        assert_eq!(disabled.tracked_hosts(), 0);
+        let disabled = Pacer::new(PacerConfig::default());
+        disabled.shared().restore_backoff(&snap, 0);
+        assert_eq!(disabled.shared().tracked_hosts(), 0);
     }
 
     #[test]
@@ -773,7 +597,11 @@ mod tests {
         for i in 0..1_000 {
             assert_eq!(pacer.admit(IP_A, i), PaceDecision::Ready);
         }
-        assert_eq!(pacer.tracked_hosts(), 0, "disabled pacer tracks nothing");
+        assert_eq!(
+            pacer.shared().tracked_hosts(),
+            0,
+            "disabled pacer tracks nothing"
+        );
     }
 
     #[test]
@@ -887,19 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn split_divides_budgets_across_workers() {
-        let config = PacerConfig {
-            rate_pps: 1000.0,
-            per_host_pps: 100.0,
-            ..PacerConfig::default()
-        };
-        let per_worker = config.split(4);
-        assert_eq!(per_worker.rate_pps, 250.0);
-        assert_eq!(per_worker.per_host_pps, 25.0);
-        assert!(per_worker.enabled());
-    }
-
-    #[test]
     fn host_table_is_hard_capped_under_all_penalized_flood() {
         // A spoofed-source flood where *every* destination carries a live
         // penalty: the idle prune frees nothing, so the hard cap must
@@ -914,12 +729,17 @@ mod tests {
             let ip = Ipv4Addr::from(0x0A00_0000 + i);
             pacer.on_failure(ip, 0);
         }
+        let shared = pacer.shared();
         assert!(
-            pacer.tracked_hosts() <= MAX_HOSTS,
+            shared.tracked_hosts() <= MAX_HOSTS,
             "tracked {}",
-            pacer.tracked_hosts()
+            shared.tracked_hosts()
         );
-        assert!(pacer.host_evictions >= 500, "{}", pacer.host_evictions);
+        assert!(
+            shared.host_evictions() >= 500,
+            "{}",
+            shared.host_evictions()
+        );
     }
 
     #[test]
@@ -928,30 +748,16 @@ mod tests {
             per_host_pps: 1000.0,
             ..PacerConfig::default()
         });
-        for i in 0..(MAX_HOSTS + 100) as u32 {
+        // Twice the bound, so every stripe fills and prunes at least once.
+        for i in 0..(2 * MAX_HOSTS) as u32 {
             let ip = Ipv4Addr::from(0x0A00_0000 + i);
             let _ = pacer.admit(ip, u64::from(i) * SECONDS);
         }
-        assert!(pacer.tracked_hosts() <= MAX_HOSTS + 100);
         assert!(
-            pacer.tracked_hosts() < MAX_HOSTS,
+            pacer.shared().tracked_hosts() < MAX_HOSTS,
             "idle hosts must be pruned, got {}",
-            pacer.tracked_hosts()
+            pacer.shared().tracked_hosts()
         );
-    }
-
-    fn gate_releases(
-        gate: &mut ConcurrentGate,
-        dest: Ipv4Addr,
-        n: usize,
-        now: Nanos,
-    ) -> Vec<Nanos> {
-        (0..n)
-            .map(|_| match gate.admit(dest, now) {
-                PaceDecision::Ready => now,
-                PaceDecision::Defer { until, .. } => until,
-            })
-            .collect()
     }
 
     #[test]
@@ -961,8 +767,8 @@ mod tests {
             burst: 1.0,
             ..PacerConfig::default()
         }));
-        let mut gate = ConcurrentGate::new(pacer);
-        let times = gate_releases(&mut gate, IP_A, 51, 0);
+        let mut gate = Pacer::join(pacer);
+        let times = releases(&mut gate, IP_A, 51, 0);
         assert_eq!(times[0], 0);
         let last = *times.last().unwrap();
         let expected = 500 * zdns_pacing::MILLIS;
@@ -985,8 +791,8 @@ mod tests {
             ..PacerConfig::default()
         }));
         pacer.on_failure(IP_A, 0);
-        let mut gate = ConcurrentGate::new(Arc::clone(&pacer));
-        let times = gate_releases(&mut gate, IP_A, 10, 0);
+        let mut gate = Pacer::join(Arc::clone(&pacer));
+        let times = releases(&mut gate, IP_A, 10, 0);
         assert!(times[0] >= SECONDS, "penalty must hold the first send");
         for pair in times.windows(2) {
             assert!(
@@ -999,14 +805,14 @@ mod tests {
     #[test]
     fn concurrent_backoff_memory_is_shared_across_gates() {
         // Worker A's failures must back the destination off for worker B
-        // — the scan-wide backoff memory the mutex pacer provided.
+        // — the scan-wide backoff memory.
         let pacer = Arc::new(ConcurrentPacer::new(PacerConfig {
             backoff: true,
             backoff_base: SECONDS,
             ..PacerConfig::default()
         }));
-        let mut a = ConcurrentGate::new(Arc::clone(&pacer));
-        let mut b = ConcurrentGate::new(Arc::clone(&pacer));
+        let mut a = Pacer::join(Arc::clone(&pacer));
+        let mut b = Pacer::join(Arc::clone(&pacer));
         a.on_failure(IP_A, 0);
         match b.admit(IP_A, 0) {
             PaceDecision::Defer {
@@ -1019,35 +825,6 @@ mod tests {
             other => panic!("worker B must see A's penalty: {other:?}"),
         }
         assert_eq!(pacer.backoff_events(), 1);
-    }
-
-    #[test]
-    fn concurrent_snapshot_round_trips_into_legacy_pacer() {
-        // The two implementations speak the same checkpoint format.
-        let config = PacerConfig {
-            backoff: true,
-            backoff_base: 200 * zdns_pacing::MILLIS,
-            ..PacerConfig::default()
-        };
-        let pacer = Arc::new(ConcurrentPacer::new(config.clone()));
-        for _ in 0..3 {
-            pacer.on_failure(IP_A, 0);
-        }
-        let snap = pacer.backoff_snapshot(100 * zdns_pacing::MILLIS);
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0], (IP_A, 3, 700 * zdns_pacing::MILLIS));
-
-        let mut legacy = Pacer::new(config.clone());
-        legacy.restore_backoff(&snap, 0);
-        assert_eq!(legacy.backoff_snapshot(0), snap);
-
-        let resumed = ConcurrentPacer::new(config);
-        resumed.restore_backoff(&snap, 0);
-        let mut gate = ConcurrentGate::new(Arc::new(resumed));
-        match gate.admit(IP_A, 0) {
-            PaceDecision::Defer { until, .. } => assert_eq!(until, 700 * zdns_pacing::MILLIS),
-            other => panic!("restored penalty must defer: {other:?}"),
-        }
     }
 
     #[test]
@@ -1075,12 +852,12 @@ mod tests {
             rate_pps: 100.0, // burst derives rate/20 = 5 -> block of 5
             ..PacerConfig::default()
         }));
-        let mut hoarder = ConcurrentGate::new(Arc::clone(&pacer));
+        let mut hoarder = Pacer::join(Arc::clone(&pacer));
         let _ = hoarder.admit(IP_A, 0); // leases a block, uses 1 slot
         assert_eq!(pacer.blocks_leased(), 1);
         drop(hoarder); // unused slots return on drop
-        let mut gate = ConcurrentGate::new(Arc::clone(&pacer));
-        let times = gate_releases(&mut gate, IP_B, 4, 0);
+        let mut gate = Pacer::join(Arc::clone(&pacer));
+        let times = releases(&mut gate, IP_B, 4, 0);
         assert_eq!(
             times,
             vec![0, 0, 0, 0],
@@ -1091,7 +868,7 @@ mod tests {
     #[test]
     fn disabled_concurrent_pacer_never_defers() {
         let pacer = Arc::new(ConcurrentPacer::new(PacerConfig::default()));
-        let mut gate = ConcurrentGate::new(Arc::clone(&pacer));
+        let mut gate = Pacer::join(Arc::clone(&pacer));
         for i in 0..1_000 {
             assert_eq!(gate.admit(IP_A, i), PaceDecision::Ready);
         }

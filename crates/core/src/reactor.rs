@@ -12,7 +12,7 @@
 //!   the machines' own retry logic run without any blocking waits;
 //! * a small **blocking TCP side-pool** absorbs truncation-fallback
 //!   exchanges so the UDP loop never stalls on a TCP handshake;
-//! * a **pacer** ([`crate::pacer::Pacer`]) gates every UDP send against
+//! * a **pacer** ([`Pacer`]) gates every UDP send against
 //!   global and per-destination budgets: deferred sends are parked on a
 //!   queue whose release times are armed on the same timer wheel — no
 //!   extra threads, no busy-wait — and timeout/error streaks feed
@@ -29,8 +29,8 @@
 //!   per active lookup from a scan-wide pool, and *parks* lookups whose
 //!   every outstanding send is waiting out a backoff penalty — returning
 //!   their credits so sibling workers absorb the stranded window. With
-//!   [`Reactor::set_shared_pacer`] the pacing budgets are likewise one
-//!   scan-wide pool rather than a static per-worker split.
+//!   [`Reactor::set_concurrent_pacer`] the pacing budgets are likewise
+//!   one scan-wide pool shared with the sibling workers.
 //!
 //! The lookup machines are unchanged — the same [`SimClient`] state
 //! machines the discrete-event simulator drives. The reactor is just the
@@ -49,10 +49,10 @@ use std::time::{Duration, Instant};
 
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, MILLIS};
 use zdns_pacing::{CreditPool, PaceDecision, SendGate};
-use zdns_wire::{encode_query_into, Message, MessageView, MsgRef, ScratchBuf};
+use zdns_wire::{encode_query_into, MessageView, MsgRef, ScratchBuf};
 
 use crate::driver::{Admission, Driver, DriverReport};
-use crate::pacer::{ConcurrentGate, ConcurrentPacer, Pacer, PacerConfig, SharedPacer};
+use crate::pacer::{ConcurrentPacer, Pacer, PacerConfig};
 use crate::resolver::AddrMap;
 use crate::serve::{ServeStats, ServerRole};
 use crate::transport::readiness;
@@ -74,9 +74,10 @@ pub struct ReactorConfig {
     pub wheel_slots: usize,
     /// Timer-wheel slot width in nanoseconds.
     pub wheel_granularity: SimTime,
-    /// Pacing + backoff budgets for this reactor's sends (disabled by
-    /// default). Scans splitting one budget over several workers should
-    /// hand each reactor `PacerConfig::split(workers)`.
+    /// Pacing + backoff budgets for this reactor's own pacer (disabled
+    /// by default). Scans sharing one budget across several workers
+    /// leave this disabled and join every reactor to one scan-wide
+    /// pacer with [`Reactor::set_concurrent_pacer`].
     pub pacer: PacerConfig,
     /// Datagrams per syscall on the hot path: same-tick sends coalesce
     /// into one `sendmmsg` of up to this many datagrams, and the receive
@@ -88,12 +89,6 @@ pub struct ReactorConfig {
     /// takes the best one the running kernel supports; unavailable
     /// choices degrade cleanly (uring → mmsg → per-datagram).
     pub io_backend: IoBackend,
-    /// Decode every received datagram into an owned [`Message`] instead of
-    /// stepping machines on a borrowed [`MessageView`] over the arena.
-    /// The view path is the default; this fallback exists for A/B
-    /// benchmarks and as a big red switch if a view-path bug ever needs
-    /// ruling out in production.
-    pub owned_decode: bool,
     /// Extra machines this reactor may host *beyond* `max_in_flight`
     /// while they sit parked in backoff (credit-pool scans only; parking
     /// never happens without one). Parked lookups cost no window — their
@@ -103,7 +98,7 @@ pub struct ReactorConfig {
     /// machines never exceed `max_in_flight`.
     pub max_parked: usize,
     /// The instant this reactor's clock counts nanoseconds from.
-    /// Workers sharing one pacer ([`Reactor::set_shared_pacer`]) MUST
+    /// Workers sharing one pacer ([`Reactor::set_concurrent_pacer`]) MUST
     /// share one epoch too: the pacer stores absolute release/penalty
     /// times, so callers on different epochs would mis-read each
     /// other's backoff state by their spawn skew. `None` = this
@@ -126,7 +121,6 @@ impl Default for ReactorConfig {
             pacer: PacerConfig::default(),
             batch_size: DEFAULT_BATCH_SIZE,
             io_backend: IoBackend::default(),
-            owned_decode: false,
             max_parked: 0,
             epoch: None,
         }
@@ -453,56 +447,6 @@ struct PreparedSend {
     oq: OutQuery,
 }
 
-/// The reactor's pacing handle: its own pacer (a static budget split),
-/// or one scan-wide pacer shared with its sibling workers (the
-/// shared-queue pipeline's budget leasing — reserving from the shared
-/// buckets is the lease, so idle workers leave the whole budget to the
-/// active ones and backoff knowledge is common property). The shared
-/// flavour comes in two implementations: the lock-free
-/// [`ConcurrentPacer`] behind a per-worker [`ConcurrentGate`] (the
-/// default), and the legacy whole-pacer mutex kept as an A/B lever.
-enum PacerHandle {
-    Own(Pacer),
-    Shared(SharedPacer),
-    Concurrent(ConcurrentGate),
-}
-
-impl PacerHandle {
-    fn admit(&mut self, dest: Ipv4Addr, now: SimTime) -> PaceDecision {
-        match self {
-            PacerHandle::Own(pacer) => pacer.admit(dest, now),
-            PacerHandle::Shared(pacer) => pacer.lock().admit(dest, now),
-            PacerHandle::Concurrent(gate) => gate.admit(dest, now),
-        }
-    }
-
-    fn on_success(&mut self, dest: Ipv4Addr, now: SimTime) {
-        match self {
-            PacerHandle::Own(pacer) => pacer.on_success(dest, now),
-            PacerHandle::Shared(pacer) => pacer.lock().on_success(dest, now),
-            PacerHandle::Concurrent(gate) => gate.on_success(dest, now),
-        }
-    }
-
-    fn on_failure(&mut self, dest: Ipv4Addr, now: SimTime) {
-        match self {
-            PacerHandle::Own(pacer) => pacer.on_failure(dest, now),
-            PacerHandle::Shared(pacer) => pacer.lock().on_failure(dest, now),
-            PacerHandle::Concurrent(gate) => gate.on_failure(dest, now),
-        }
-    }
-
-    /// Give unused global-budget block tokens back to a shared
-    /// concurrent pacer — called at the same points admission credits go
-    /// back to the pool (park/idle/end-of-run). No-op for the other
-    /// handles and for an empty block, so it is safe to call freely.
-    fn return_tokens(&mut self) {
-        if let PacerHandle::Concurrent(gate) = self {
-            gate.return_tokens();
-        }
-    }
-}
-
 /// This reactor's stake in the scan-wide [`CreditPool`].
 struct CreditShare {
     pool: Arc<CreditPool>,
@@ -551,7 +495,7 @@ pub struct Reactor {
     in_flight: usize,
     demux: HashMap<DemuxKey, Pending>,
     wheel: TimerWheel,
-    pacer: PacerHandle,
+    pacer: Pacer,
     /// Shared admission credits (`None` = the classic static window).
     credits: Option<CreditShare>,
     /// Machines alive but holding no credit (all sends in backoff).
@@ -568,8 +512,6 @@ pub struct Reactor {
     /// `&mut self`); always `Some` between method calls.
     batch: Option<BatchIo>,
     staged: Vec<StagedSend>,
-    /// Whether receives step machines on owned messages instead of views.
-    owned_decode: bool,
     // -- steady-state allocation pools -------------------------------------
     /// Shared encode arena for one flush's datagrams.
     send_scratch: ScratchBuf,
@@ -625,7 +567,6 @@ impl Reactor {
         let tcp = TcpPool::start(config.tcp_pool);
         let pacer = Pacer::new(config.pacer.clone());
         let batch = BatchIo::with_backend(config.io_backend, config.batch_size);
-        let owned_decode = config.owned_decode;
         let started = config.epoch.unwrap_or_else(Instant::now);
         Ok(Reactor {
             socket,
@@ -637,7 +578,7 @@ impl Reactor {
             in_flight: 0,
             demux: HashMap::new(),
             wheel,
-            pacer: PacerHandle::Own(pacer),
+            pacer,
             credits: None,
             parked_count: 0,
             deferred: HashMap::new(),
@@ -649,7 +590,6 @@ impl Reactor {
             report: DriverReport::default(),
             batch: Some(batch),
             staged: Vec::new(),
-            owned_decode,
             send_scratch: ScratchBuf::new(),
             send_slots: Vec::new(),
             prepared: Vec::new(),
@@ -693,20 +633,13 @@ impl Reactor {
         });
     }
 
-    /// Replace this reactor's private pacer with one shared scan-wide —
-    /// budget leasing for the pacing half of the contract (see
-    /// [`SharedPacer`]).
-    pub fn set_shared_pacer(&mut self, pacer: SharedPacer) {
-        self.pacer = PacerHandle::Shared(pacer);
-    }
-
-    /// Share a lock-free [`ConcurrentPacer`] scan-wide — same contract
-    /// as [`Reactor::set_shared_pacer`] (one global budget, common
-    /// backoff memory, workers MUST share a [`ReactorConfig::epoch`]),
-    /// but admission is a worker-local token block plus a striped table
-    /// instead of a whole-pacer mutex.
+    /// Replace this reactor's private pacer with a handle on `pacer`,
+    /// shared scan-wide with the sibling workers: reserving from the
+    /// shared budget is the lease, so idle workers leave the whole budget
+    /// to the active ones, and backoff knowledge is common property.
+    /// Workers sharing a pacer MUST share a [`ReactorConfig::epoch`].
     pub fn set_concurrent_pacer(&mut self, pacer: Arc<ConcurrentPacer>) {
-        self.pacer = PacerHandle::Concurrent(ConcurrentGate::new(pacer));
+        self.pacer = Pacer::join(pacer);
     }
 
     /// The bound local address (one reused source port for every lookup).
@@ -1319,37 +1252,13 @@ impl Reactor {
             for i in 0..batch.count {
                 let peer = io.arena_peer(i);
                 let bytes = io.arena_bytes(i);
-                // Parse up front (view sweep or owned decode), but touch
-                // the demux table only after the datagram proves to be a
-                // well-formed response.
-                let mut owned: Option<zdns_wire::Message> = None;
-                let mut view: Option<MessageView<'_>> = None;
-                let (is_response, wire_id) = if self.owned_decode {
-                    match Message::decode(bytes) {
-                        Ok(m) => {
-                            let meta = (m.flags.response, m.id);
-                            owned = Some(m);
-                            meta
-                        }
-                        Err(_) => {
-                            self.report.decode_errors += 1;
-                            continue;
-                        }
-                    }
-                } else {
-                    match MessageView::parse(bytes) {
-                        Ok(v) => {
-                            let meta = (v.flags().response, v.id());
-                            view = Some(v);
-                            meta
-                        }
-                        Err(_) => {
-                            self.report.decode_errors += 1;
-                            continue;
-                        }
-                    }
+                // Parse up front, but touch the demux table only after the
+                // datagram proves to be a well-formed response.
+                let Ok(view) = MessageView::parse(bytes) else {
+                    self.report.decode_errors += 1;
+                    continue;
                 };
-                if !is_response {
+                if !view.flags().response {
                     // QR=0: with a server role installed this is a client
                     // query for the serve path — the dual-role socket's
                     // inbound half. Without one, an echoed query from a
@@ -1364,7 +1273,7 @@ impl Reactor {
                     }
                     continue;
                 }
-                let key = (peer, wire_id);
+                let key = (peer, view.id());
                 let Some(pending) = self.demux.remove(&key) else {
                     // Late, stale, or unsolicited: exactly the datagrams
                     // the demux table exists to reject.
@@ -1378,15 +1287,8 @@ impl Reactor {
                     }
                 }
                 // The machine sees its own transaction id: the view
-                // overrides it without touching the arena, the owned
-                // fallback rewrites the field.
-                let message = match owned {
-                    Some(mut m) => {
-                        m.id = pending.orig_id;
-                        MsgRef::Owned(m)
-                    }
-                    None => MsgRef::View(view.expect("view parsed").with_id(pending.orig_id)),
-                };
+                // overrides it without touching the arena.
+                let message = MsgRef::View(view.with_id(pending.orig_id));
                 self.report.datagrams_delivered += 1;
                 self.pacer.on_success(pending.sim_ip, self.now());
                 let event = ClientEvent::Response {

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use zdns_core::{collecting_sink, Resolver, ResolverConfig, Status};
+use zdns_core::{collecting_sink, CacheKey, Resolver, ResolverConfig, Status};
 use zdns_netsim::{Engine, EngineConfig, PublicResolverConfig, PublicResolverSim};
 use zdns_wire::{Name, Question, RData, RecordType};
 use zdns_zones::{SynthConfig, SyntheticUniverse, Universe};
@@ -311,4 +311,87 @@ fn flaky_nameservers_consume_retries() {
     // Some lookup must have needed retries when it hit the flaky NS.
     let total_retries: u32 = results.iter().map(|r| r.retries_used).sum();
     assert!(total_retries > 0, "expected retries against flaky servers");
+}
+
+#[test]
+fn cached_cut_with_evicted_glue_resolves_through_the_parent() {
+    // The selective cache evicts RRsets independently, so a cut's NS
+    // RRset can outlive the glue of its in-bailiwick nameservers (`com`
+    // is served by ns*.nic.com). Seeded from that cut alone, a walk has
+    // no server it can reach; it must resolve from the root instead,
+    // whose referral re-supplies the glue, rather than end in SERVFAIL.
+    let u = universe();
+    let names: Vec<Name> = existing_domains(&u, "com", 40)
+        .into_iter()
+        .filter(|n| {
+            let p = u.domain_profile(n);
+            p.flaky.is_none() && p.lame_ns.is_none() && !p.inconsistent
+        })
+        .take(5)
+        .collect();
+    assert!(!names.is_empty());
+    let com: Name = "com".parse().unwrap();
+
+    // A cache holding the com cut with its glue...
+    let warm = iterative_resolver(&u);
+    run_lookups(
+        Arc::clone(&u),
+        &warm,
+        vec![names[0].clone()],
+        RecordType::A,
+        1,
+    );
+    let com_ns = warm
+        .core()
+        .cache
+        .get(&com, RecordType::NS, 0)
+        .expect("com cut cached");
+    let ns_names: Vec<Name> = com_ns
+        .iter()
+        .filter_map(|r| match &r.rdata {
+            RData::Ns(ns) => Some(ns.clone()),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !ns_names.is_empty() && ns_names.iter().all(|ns| ns.is_subdomain_of(&com)),
+        "com nameservers must be in-bailiwick: {ns_names:?}"
+    );
+
+    // ...and one where eviction took the glue but left the NS RRset.
+    let resolver = iterative_resolver(&u);
+    let cache = &resolver.core().cache;
+    cache.put(
+        CacheKey {
+            name: com.clone(),
+            rtype: RecordType::NS,
+        },
+        com_ns,
+        0,
+    );
+    assert!(ns_names
+        .iter()
+        .all(|ns| cache.get(ns, RecordType::A, 0).is_none()));
+
+    let (report, results) = run_lookups(Arc::clone(&u), &resolver, names.clone(), RecordType::A, 1);
+    assert_eq!(report.jobs, names.len() as u64);
+    for result in &results {
+        assert_eq!(
+            result.status,
+            Status::NoError,
+            "{} must resolve past the glueless cached cut",
+            result.name
+        );
+        let expected = u.domain_profile(&result.name).apex_a;
+        assert!(
+            result.answers.iter().any(|r| r.rdata == RData::A(expected)),
+            "wrong answer for {}: {:?}",
+            result.name,
+            result.answers
+        );
+    }
+    // The root's referral put the glue back.
+    assert!(ns_names
+        .iter()
+        .any(|ns| cache.get(ns, RecordType::A, 0).is_some()));
 }

@@ -126,16 +126,6 @@ pub struct Conf {
     pub batch_size: usize,
     /// Name source for the scan (`--workload`).
     pub workload: Workload,
-    /// Split the admission window and pacing budgets statically across
-    /// reactor workers (the pre-pipeline behaviour) instead of leasing
-    /// them from scan-wide pools. An A/B escape hatch; the shared-queue
-    /// pipeline is the default.
-    pub static_split: bool,
-    /// Shared-pacer implementation (`--pacer`): `concurrent` (default)
-    /// is the lock-free scan-wide pacer — atomic global token bucket
-    /// plus a striped per-destination table; `legacy-shared` keeps the
-    /// historical whole-pacer mutex as an A/B lever.
-    pub legacy_shared_pacer: bool,
     /// Syscall strategy for the reactor hot path (`--io-backend`):
     /// `auto` (default) takes the best the kernel supports — io_uring,
     /// then `sendmmsg`/`recvmmsg`, then per-datagram — and explicit
@@ -188,8 +178,6 @@ impl Default for Conf {
             backoff_cap: 0,
             batch_size: 0,
             workload: Workload::Lines,
-            static_split: false,
-            legacy_shared_pacer: false,
             io_backend: IoBackend::default(),
             pin_cores: false,
             name_server_addrs: Vec::new(),
@@ -411,18 +399,6 @@ impl Conf {
                         other => return Err(ConfError(format!("unknown workload {other:?}"))),
                     };
                 }
-                "--static-split" => conf.static_split = true,
-                "--pacer" => {
-                    conf.legacy_shared_pacer = match take_value(&mut i)?.as_str() {
-                        "concurrent" => false,
-                        "legacy-shared" => true,
-                        other => {
-                            return Err(ConfError(format!(
-                                "bad --pacer {other:?} (concurrent|legacy-shared)"
-                            )))
-                        }
-                    };
-                }
                 "--io-backend" => {
                     let v = take_value(&mut i)?;
                     conf.io_backend = IoBackend::parse(&v).ok_or_else(|| {
@@ -520,9 +496,9 @@ impl Conf {
         Ok(conf)
     }
 
-    /// The pacing + backoff budgets this scan was asked for (the whole
-    /// scan's budget — drivers running in parallel split it with
-    /// [`PacerConfig::split`]).
+    /// The pacing + backoff budgets this scan was asked for: the whole
+    /// scan's budget, which every parallel driver shares through one
+    /// [`zdns_core::ConcurrentPacer`].
     pub fn pacer_config(&self) -> PacerConfig {
         let defaults = PacerConfig::default();
         PacerConfig {
@@ -781,7 +757,7 @@ mod tests {
         assert!(conf.backoff);
         let pc = conf.pacer_config();
         assert!(pc.enabled());
-        assert_eq!(pc.split(2).rate_pps, 2500.0);
+        assert_eq!(pc.rate_pps, 5000.0);
 
         let default = Conf::parse(["A"]).unwrap();
         assert!(!default.pacer_config().enabled(), "pacing is opt-in");
@@ -825,35 +801,6 @@ mod tests {
         let defaults = Conf::parse(["A", "--backoff"]).unwrap().pacer_config();
         assert_eq!(defaults.backoff_base, PacerConfig::default().backoff_base);
         assert_eq!(defaults.backoff_cap, PacerConfig::default().backoff_cap);
-    }
-
-    #[test]
-    fn static_split_flag() {
-        assert!(
-            !Conf::parse(["A"]).unwrap().static_split,
-            "shared is default"
-        );
-        assert!(Conf::parse(["A", "--static-split"]).unwrap().static_split);
-    }
-
-    #[test]
-    fn pacer_flag() {
-        assert!(
-            !Conf::parse(["A"]).unwrap().legacy_shared_pacer,
-            "concurrent is default"
-        );
-        assert!(
-            !Conf::parse(["A", "--pacer", "concurrent"])
-                .unwrap()
-                .legacy_shared_pacer
-        );
-        assert!(
-            Conf::parse(["A", "--pacer", "legacy-shared"])
-                .unwrap()
-                .legacy_shared_pacer
-        );
-        assert!(Conf::parse(["A", "--pacer", "mutex"]).is_err());
-        assert!(Conf::parse(["A", "--pacer"]).is_err(), "needs a value");
     }
 
     #[test]

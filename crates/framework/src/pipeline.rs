@@ -11,22 +11,18 @@
 //!                                    CreditPool + ConcurrentPacer
 //! ```
 //!
-//! The pre-pipeline design split the admission window and the pacing
-//! budgets *statically* across workers (`total / workers` each), so a
-//! worker whose destinations were all serving backoff penalties
-//! stranded its slice of the window while its siblings queued. Here the
-//! window is a scan-wide [`CreditPool`]: workers lease one credit per
-//! active lookup, park lookups whose every send is waiting out a
-//! backoff penalty (returning the credits), and pull — steal — the next
-//! pending input from the shared queue whenever they hold capacity,
-//! wherever that capacity was nominally "assigned". The pacing budgets
-//! are likewise one scan-wide pacer rather than per-worker slices — a
-//! lock-free [`ConcurrentPacer`] by default (workers lease token blocks
-//! from an atomic global bucket and share a striped backoff table), or
-//! the historical whole-pacer mutex ([`SharedPacer`]) under
-//! `--pacer legacy-shared`. `--static-split` keeps the pre-pipeline
-//! behaviour as an A/B lever; `bench_reactor` measures all of them and
-//! `tests/scan_pipeline.rs` asserts the stranded-window recovery.
+//! Splitting the admission window *statically* across workers (`total /
+//! workers` each) would let a worker whose destinations were all serving
+//! backoff penalties strand its slice of the window while its siblings
+//! queued. Instead the window is a scan-wide [`CreditPool`]: workers
+//! lease one credit per active lookup, park lookups whose every send is
+//! waiting out a backoff penalty (returning the credits), and pull —
+//! steal — the next pending input from the shared queue whenever they
+//! hold capacity, wherever that capacity was nominally "assigned". The
+//! pacing budgets are likewise one scan-wide [`ConcurrentPacer`]: every
+//! worker leases token blocks from its atomic global bucket and shares
+//! its striped backoff table. `tests/scan_pipeline.rs` asserts the
+//! stranded-window recovery.
 //!
 //! Both ends stream: an [`InputSource`] is pulled one name at a time
 //! (a 234M-name corpus is a generator, never a `Vec`), and outputs
@@ -43,8 +39,8 @@ use std::sync::Arc;
 use crossbeam::channel;
 use parking_lot::Mutex;
 use zdns_core::{
-    AddrMap, Admission, ConcurrentPacer, CreditPool, Driver, DriverReport, Pacer, PacerConfig,
-    Reactor, ReactorConfig, Resolver, SharedPacer,
+    AddrMap, Admission, ConcurrentPacer, CreditPool, Driver, DriverReport, Reactor, ReactorConfig,
+    Resolver,
 };
 use zdns_modules::{LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::InputSource;
@@ -53,67 +49,6 @@ use crate::checkpoint::{scan_id, Checkpoint, CheckpointKeeper, ScanManifest};
 use crate::conf::Conf;
 use crate::output::OutputSink;
 use crate::runner::{real_worker_count, RealScanReport};
-
-/// How the scan divides its admission window and pacing budgets across
-/// reactor workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Scan-wide pools, leased dynamically (work stealing); the default.
-    #[default]
-    SharedQueue,
-    /// A fixed `total / workers` slice each (the pre-pipeline design,
-    /// kept for A/B runs via `--static-split`).
-    StaticSplit,
-}
-
-impl AdmissionMode {
-    /// The mode a configuration asks for.
-    pub fn from_conf(conf: &Conf) -> AdmissionMode {
-        if conf.static_split {
-            AdmissionMode::StaticSplit
-        } else {
-            AdmissionMode::SharedQueue
-        }
-    }
-}
-
-/// The scan-wide pacer a shared-queue scan installs in every worker.
-/// Both flavours carry the same contract — one global budget, common
-/// per-destination backoff memory, interchangeable checkpoint format —
-/// they differ only in how workers synchronize on it.
-#[derive(Clone)]
-enum ScanPacer {
-    /// Lock-free: atomic global token bucket (workers lease token
-    /// blocks) plus a striped per-destination table. The default.
-    Concurrent(Arc<ConcurrentPacer>),
-    /// The historical whole-pacer mutex, kept as an A/B lever
-    /// (`--pacer legacy-shared`): every admit/success/failure from every
-    /// worker serializes on one lock.
-    Legacy(SharedPacer),
-}
-
-impl ScanPacer {
-    fn install(&self, reactor: &mut Reactor) {
-        match self {
-            ScanPacer::Concurrent(pacer) => reactor.set_concurrent_pacer(Arc::clone(pacer)),
-            ScanPacer::Legacy(pacer) => reactor.set_shared_pacer(Arc::clone(pacer)),
-        }
-    }
-
-    fn restore_backoff(&self, entries: &[(Ipv4Addr, u32, u64)], now: u64) {
-        match self {
-            ScanPacer::Concurrent(pacer) => pacer.restore_backoff(entries, now),
-            ScanPacer::Legacy(pacer) => pacer.lock().restore_backoff(entries, now),
-        }
-    }
-
-    fn backoff_snapshot(&self, now: u64) -> Vec<(Ipv4Addr, u32, u64)> {
-        match self {
-            ScanPacer::Concurrent(pacer) => pacer.backoff_snapshot(now),
-            ScanPacer::Legacy(pacer) => pacer.lock().backoff_snapshot(now),
-        }
-    }
-}
 
 /// Run a real-socket scan: names stream from `source` through the shared
 /// input queue into a pool of reactor workers, and every output crosses
@@ -137,7 +72,6 @@ pub fn run_scan_pipeline(
     // active cap must not exceed what the user asked for (a polite
     // scanner's rate contract).
     let workers = real_worker_count(conf).min(total_window);
-    let mode = AdmissionMode::from_conf(conf);
     let started = std::time::Instant::now();
     let mut report = RealScanReport {
         workers,
@@ -163,21 +97,10 @@ pub fn run_scan_pipeline(
     let workers = sockets.len();
     report.workers = workers;
 
-    // The scan-wide pools every worker leases from (shared mode): the
-    // admission window as credits, the pacing budgets as one pacer.
-    let pacer_config = conf.pacer_config();
-    let credit_pool: Option<Arc<CreditPool>> = match mode {
-        AdmissionMode::SharedQueue => Some(Arc::new(CreditPool::new(total_window))),
-        AdmissionMode::StaticSplit => None,
-    };
-    let shared_pacer: Option<ScanPacer> = match mode {
-        AdmissionMode::SharedQueue if pacer_config.enabled() => Some(if conf.legacy_shared_pacer {
-            ScanPacer::Legacy(Arc::new(Mutex::new(Pacer::new(pacer_config.clone()))))
-        } else {
-            ScanPacer::Concurrent(Arc::new(ConcurrentPacer::new(pacer_config.clone())))
-        }),
-        _ => None,
-    };
+    // The scan-wide pools every worker leases from: the admission
+    // window as credits, the pacing budgets as one pacer.
+    let credit_pool = Arc::new(CreditPool::new(total_window));
+    let pacer = Arc::new(ConcurrentPacer::new(conf.pacer_config()));
 
     // Durable scans keep a checkpoint bookkeeper shared between the
     // feeder (dispatch records) and the writer thread (completion
@@ -201,9 +124,7 @@ pub fn run_scan_pipeline(
                 Checkpoint::load_latest(&ScanManifest::checkpoint_file(manifest_path))
                     .filter(|c| c.scan_id == id)
             {
-                if let Some(pacer) = &shared_pacer {
-                    pacer.restore_backoff(&ckpt.backoff, 0);
-                }
+                pacer.restore_backoff(&ckpt.backoff, 0);
                 keeper.resume_from(&ckpt);
             }
         } else if let Err(e) = ScanManifest::from_conf(conf).write(manifest_path) {
@@ -237,7 +158,7 @@ pub fn run_scan_pipeline(
         let base_window = total_window / workers;
         let extra = total_window % workers;
         for (worker_idx, socket) in sockets.into_iter().enumerate() {
-            let static_window = (base_window + usize::from(worker_idx < extra)).max(1);
+            let fair_share = (base_window + usize::from(worker_idx < extra)).max(1);
             let input_rx = input_rx.clone();
             let output_tx = output_tx.clone();
             let module = Arc::clone(&module);
@@ -245,19 +166,12 @@ pub fn run_scan_pipeline(
             let addr_map = Arc::clone(&addr_map);
             let merged = Arc::clone(&merged);
             let startup_errors = Arc::clone(&startup_errors);
-            let credit_pool = credit_pool.clone();
-            let shared_pacer = shared_pacer.clone();
+            let credit_pool = Arc::clone(&credit_pool);
+            let pacer = Arc::clone(&pacer);
             let batch_size = if conf.batch_size > 0 {
                 conf.batch_size
             } else {
                 ReactorConfig::default().batch_size
-            };
-            let (window, pacer) = match mode {
-                // Any single worker may absorb the whole window when its
-                // siblings' destinations are stranded in backoff; its own
-                // pacer stays disabled because the shared one gates sends.
-                AdmissionMode::SharedQueue => (total_window, PacerConfig::default()),
-                AdmissionMode::StaticSplit => (static_window, pacer_config.split(workers)),
             };
             let io_backend = conf.io_backend;
             let pin_cores = conf.pin_cores;
@@ -268,16 +182,18 @@ pub fn run_scan_pipeline(
                 if pin_cores {
                     let _ = zdns_core::pin_to_core(worker_idx);
                 }
+                // Any single worker may absorb the whole window when its
+                // siblings' destinations are stranded in backoff; its own
+                // pacer stays disabled because the shared one gates sends.
                 let config = ReactorConfig {
-                    max_in_flight: window,
-                    pacer,
+                    max_in_flight: total_window,
                     batch_size,
                     io_backend,
                     // Parked (fully backed-off) lookups cost slots but no
                     // window; allow a few windows' worth per worker so
                     // backoff cannot choke admission, while still
                     // bounding what a dead-Internet scan can pin.
-                    max_parked: window.saturating_mul(4),
+                    max_parked: total_window.saturating_mul(4),
                     epoch: Some(epoch),
                     ..ReactorConfig::default()
                 };
@@ -295,12 +211,8 @@ pub fn run_scan_pipeline(
                         return;
                     }
                 };
-                if let Some(pool) = credit_pool {
-                    reactor.set_credit_pool(pool, static_window);
-                }
-                if let Some(pacer) = shared_pacer {
-                    pacer.install(&mut reactor);
-                }
+                reactor.set_credit_pool(credit_pool, fair_share);
+                reactor.set_concurrent_pacer(pacer);
                 let sink: ModuleSink = Arc::new(move |o| {
                     // A full output queue blocks here — inside lookup
                     // completion — which stalls this worker's admission:
@@ -338,7 +250,7 @@ pub fn run_scan_pipeline(
         // serialized every `checkpoint_every` of them, off the workers'
         // hot path.
         let writer_keeper = keeper.clone();
-        let writer_pacer = shared_pacer.clone();
+        let writer_pacer = Arc::clone(&pacer);
         let writer = scope.spawn(move || {
             let mut peak_queue = 0usize;
             let mut errors = 0u64;
@@ -361,10 +273,8 @@ pub fn run_scan_pipeline(
                 }
                 if snapshot_due {
                     if let Some(keeper) = &writer_keeper {
-                        let backoff = writer_pacer
-                            .as_ref()
-                            .map(|p| p.backoff_snapshot(epoch.elapsed().as_nanos() as u64))
-                            .unwrap_or_default();
+                        let backoff =
+                            writer_pacer.backoff_snapshot(epoch.elapsed().as_nanos() as u64);
                         // A failed snapshot write is retried at the next
                         // cadence tick; the scan itself never stops.
                         let _ = keeper.lock().write_snapshot(backoff);
@@ -394,10 +304,7 @@ pub fn run_scan_pipeline(
     // The closing snapshot: input exhausted and every lookup drained
     // marks the shard complete, which is what `zdns merge` verifies.
     if let Some(keeper) = &keeper {
-        let backoff = shared_pacer
-            .as_ref()
-            .map(|p| p.backoff_snapshot(epoch.elapsed().as_nanos() as u64))
-            .unwrap_or_default();
+        let backoff = pacer.backoff_snapshot(epoch.elapsed().as_nanos() as u64);
         if let Err(e) = keeper.lock().write_snapshot(backoff) {
             report
                 .worker_errors
@@ -412,14 +319,12 @@ pub fn run_scan_pipeline(
     report.worker_errors.extend(startup_errors.lock().drain(..));
     report.status_counts = merged.0;
     report.driver = merged.1;
-    // Concurrent-pacer contention telemetry is scan-wide (the counters
-    // live on the one shared pacer), so it lands on the merged report
-    // here rather than being summed per worker.
-    if let Some(ScanPacer::Concurrent(pacer)) = &shared_pacer {
-        report.driver.pacer_cas_retries = pacer.cas_retries();
-        report.driver.pacer_stripe_waits = pacer.stripe_waits();
-        report.driver.token_blocks_leased = pacer.blocks_leased();
-    }
+    // Pacer contention telemetry is scan-wide (the counters live on the
+    // one shared pacer), so it lands on the merged report here rather
+    // than being summed per worker.
+    report.driver.pacer_cas_retries = pacer.cas_retries();
+    report.driver.pacer_stripe_waits = pacer.stripe_waits();
+    report.driver.token_blocks_leased = pacer.blocks_leased();
     report.lookups = report.driver.completed;
     report.successes = report.driver.successes;
     report.queries_sent = stats_after.queries_sent - stats_before.queries_sent;

@@ -12,8 +12,8 @@
 //!   multiplexing hundreds of in-flight lookup machines over it (the
 //!   paper's event-driven architecture: concurrency comes from in-flight
 //!   lookups, not OS threads). The `--max-in-flight` admission window is
-//!   a scan-wide credit pool the workers lease from (see the pipeline
-//!   module docs); `--static-split` reverts to fixed per-worker slices.
+//!   a scan-wide credit pool the workers lease from, and the pacing
+//!   budgets one scan-wide pacer (see the pipeline module docs).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;

@@ -259,9 +259,10 @@ pub enum PaceDecision {
 }
 
 /// The client-side pacing interface a send path consults before putting
-/// a query on the wire. Implemented by `zdns_core::pacer::Pacer`;
-/// accepted by the simulation engine as a pluggable hook so the same
-/// pacer closes the loop under virtual time.
+/// a query on the wire. Implemented by `zdns_core::pacer::Pacer`, a
+/// driver's handle on the lock-free `ConcurrentPacer`; accepted by the
+/// simulation engine as a pluggable hook so the same pacer closes the
+/// loop under virtual time.
 pub trait SendGate {
     /// Admit one send to `dest` at `now`. A [`PaceDecision::Defer`]
     /// reserves the send's budget — the caller must perform it at the

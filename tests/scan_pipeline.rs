@@ -2,12 +2,11 @@
 //! `tests/polite_scan.rs`):
 //!
 //! * **Work stealing / stranded-window recovery** — a loopback scan
-//!   where half the destinations are blackholes serving long backoff
-//!   penalties. Under the pre-pipeline static split those lookups pin
-//!   the admission window; under the shared credit pool they *park*
-//!   (returning their credits) and the healthy half of the scan absorbs
-//!   the stranded capacity. The acceptance bar is ≥1.5× aggregate
-//!   throughput.
+//!   where most destinations are blackholes serving long backoff
+//!   penalties. Lookups to them *park* (returning their credits to the
+//!   shared pool) and the healthy part of the scan absorbs the stranded
+//!   capacity: every healthy probe must finish before the first backoff
+//!   penalty expires.
 //! * **CT-corpus workload** — `--workload ct-corpus` streamed through a
 //!   `--real` scan against a loopback server, never materializing the
 //!   name set.
@@ -17,7 +16,8 @@
 //!   `InputSource` stream the real pipeline uses.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use zdns::core::AddrMap;
 use zdns::framework::{
@@ -47,9 +47,15 @@ fn dead_ips(n: usize) -> Vec<Ipv4Addr> {
         .collect()
 }
 
-/// One run of the half-backed-off scenario. Returns the report and the
-/// wall-clock seconds the scan took.
-fn run_half_dead_scan(static_split: bool) -> (RealScanReport, f64) {
+/// Per-query timeout at every destination in the backed-off scenario.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(120);
+/// Constant backoff penalty (base == cap) in the backed-off scenario.
+const PENALTY: Duration = Duration::from_secs(1);
+
+/// One run of the backed-off scenario. Returns the report and, for every
+/// healthy probe, when its output reached the sink relative to the
+/// scan's start.
+fn run_half_dead_scan() -> (RealScanReport, Vec<Duration>) {
     let healthy = catch_all_server(HEALTHY_IP);
     let dead = dead_ips(5);
     // Blackholes: bound sockets nobody ever reads — sends succeed, no
@@ -74,7 +80,7 @@ fn run_half_dead_scan(static_split: bool) -> (RealScanReport, f64) {
     // 16-credit window and (up to) 2 workers. A constant 1s penalty
     // (base == cap) keeps the scenario deterministic: every dead retry
     // parks for exactly 1s while holding the wire for only ~240ms total.
-    let mut args = vec![
+    let args = vec![
         "PROBE".to_string(),
         "--threads".into(),
         "2".into(),
@@ -85,13 +91,10 @@ fn run_half_dead_scan(static_split: bool) -> (RealScanReport, f64) {
         "--backoff-base".into(),
         "1".into(),
         "--backoff-cap".into(),
-        "1".into(),
+        PENALTY.as_secs().to_string(),
     ];
-    if static_split {
-        args.push("--static-split".into());
-    }
     let mut conf = Conf::parse(args).unwrap();
-    conf.resolver.timeout = 120 * MILLIS;
+    conf.resolver.timeout = PROBE_TIMEOUT.as_millis() as u64 * MILLIS;
     let resolver = zdns::core::Resolver::new(conf.resolver.clone());
     let module = ModuleRegistry::standard().get("PROBE").unwrap();
 
@@ -105,72 +108,78 @@ fn run_half_dead_scan(static_split: bool) -> (RealScanReport, f64) {
         })
         .collect();
 
-    let started = std::time::Instant::now();
+    let started = Instant::now();
+    let healthy_done = Arc::new(Mutex::new(Vec::new()));
+    let record = Arc::clone(&healthy_done);
     let mut source = inputs.into_iter();
-    let mut sink = zdns::framework::CallbackSink::new(|_| {});
+    let mut sink = zdns::framework::CallbackSink::new(move |output| {
+        if output.name.starts_with("ok") {
+            record.lock().unwrap().push(started.elapsed());
+        }
+    });
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
-    let elapsed = started.elapsed().as_secs_f64();
     drop(healthy);
-    (report, elapsed)
+    let healthy_done = std::mem::take(&mut *healthy_done.lock().unwrap());
+    (report, healthy_done)
 }
 
 #[test]
 fn shared_queue_absorbs_stranded_window_from_backed_off_destinations() {
-    let (static_report, static_secs) = run_half_dead_scan(true);
-    let (shared_report, shared_secs) = run_half_dead_scan(false);
+    let (report, healthy_done) = run_half_dead_scan();
 
-    // Both modes complete the whole scan and agree on outcomes: healthy
-    // probes answer (NXDOMAIN from the catch-all zone = success), dead
-    // destinations time out.
-    for (label, report) in [("static", &static_report), ("shared", &shared_report)] {
-        assert_eq!(report.lookups, 80, "{label}: {:?}", report.worker_errors);
-        assert_eq!(
-            report.status_counts.get("TIMEOUT").copied().unwrap_or(0),
-            60,
-            "{label}: {:?}",
-            report.status_counts
-        );
-        assert_eq!(report.successes, 20, "{label}");
-        assert!(
-            report.driver.queries_deferred > 0,
-            "{label}: backoff must defer retries"
-        );
-    }
-
-    // The static split holds every backed-off lookup inside its worker's
-    // window slice; the shared pool parks them. Telemetry first:
-    assert_eq!(static_report.driver.credit_leases, 0, "no pool when split");
+    // The whole scan completes: healthy probes answer (NXDOMAIN from the
+    // catch-all zone = success), dead destinations time out.
+    assert_eq!(report.lookups, 80, "{:?}", report.worker_errors);
+    assert_eq!(
+        report.status_counts.get("TIMEOUT").copied().unwrap_or(0),
+        60,
+        "{:?}",
+        report.status_counts
+    );
+    assert_eq!(report.successes, 20);
     assert!(
-        shared_report.driver.credit_leases > 0,
-        "shared mode leases admission credits"
+        report.driver.queries_deferred > 0,
+        "backoff must defer retries"
+    );
+
+    // Backed-off lookups park instead of holding the window. Telemetry
+    // first:
+    assert!(
+        report.driver.credit_leases > 0,
+        "workers lease admission credits"
     );
     assert!(
-        shared_report.driver.idle_credit_returns > 0,
+        report.driver.idle_credit_returns > 0,
         "fully-backed-off lookups must park and return their credits: {:?}",
-        shared_report.driver
+        report.driver
     );
-    if shared_report.workers >= 2 {
+    if report.workers >= 2 {
         assert!(
-            shared_report.driver.inputs_stolen > 0,
+            report.driver.inputs_stolen > 0,
             "some worker must admit beyond its static fair share"
         );
     }
-    let line = shared_report.summary_line();
+    let line = report.summary_line();
     assert!(
         line.contains("credit leases"),
         "the --real summary must print the lease telemetry: {line}"
     );
 
-    // The acceptance bar: ≥1.5× aggregate throughput when half the
-    // window would otherwise be stranded (measured ~2.5-3.5×; 1.5 leaves
-    // slack for noisy shared runners).
-    let static_rate = 80.0 / static_secs;
-    let shared_rate = 80.0 / shared_secs;
+    // The stranded window is absorbed while the penalties still run: no
+    // penalty can expire before the first timeout plus one penalty, and
+    // a window held by backed-off lookups would keep some healthy probe
+    // waiting at least that long.
+    assert_eq!(
+        healthy_done.len(),
+        20,
+        "every healthy output reached the sink"
+    );
+    let first_expiry = PROBE_TIMEOUT + PENALTY;
+    let last_healthy = *healthy_done.iter().max().unwrap();
     assert!(
-        shared_rate >= 1.5 * static_rate,
-        "shared-queue pipeline must absorb the stranded window: \
-         shared {shared_rate:.1}/s vs static {static_rate:.1}/s \
-         ({static_secs:.2}s vs {shared_secs:.2}s)"
+        last_healthy < first_expiry,
+        "healthy probes must finish before the first backoff penalty \
+         expires: last at {last_healthy:?}, earliest expiry {first_expiry:?}"
     );
 }
 
